@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import dirichlet, mixed, numcheck
+from . import dirichlet, mixed
 from .parsing import PolyParseError, parse_poly
 from .polyring import Poly, Ring, to_latex, to_text
 from .solver import LayerProblem, SolutionReport, solve, verify
@@ -117,6 +117,8 @@ _FAMILIES = {
 
 
 def _cmd_tables(args) -> int:
+    if args.max_m < 0:
+        raise UsageError("--max-m must be non-negative")
     gen = _FAMILIES[args.family]
     names = ("y", "a")
     entries = [(m, gen(m)) for m in range(args.max_m + 1)]
@@ -137,6 +139,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_numcheck(args) -> int:
+    # numpy and scipy take most of a second to import; only this command needs them
+    from . import numcheck
+
     results = numcheck.run_all_checks()
     if args.output == "json":
         print(json.dumps([r.to_json_dict() for r in results], indent=2))

@@ -1,18 +1,22 @@
-"""Harmonic basis for the Dirichlet problem in a layer.
+"""Harmonic bases for the Dirichlet problem in a layer.
 
-The building blocks are odd polynomials f_{2m}(y) obtained from an exact
-power-series division (expanding sinh(ty)/sinh(ta) in even powers of t).
-The basis solution with trace x^k on the upper boundary y = a and zero
-trace on y = 0 is
+The harmonic polynomial with value g(x) at y = a and zero at y = 0 is the
+finite series Σ_j s_j(y) Δ_x^j g, where s_j is the coefficient of Δ_x^j in
+sinh(ty)/sinh(ta) read with -t^2 standing for Δ_x.  Swapping the two
+traces uses sinh(t(a-y))/sinh(ta) instead.  This module defines both
+families, each cached per (j, width), and applies them to boundary data
+with ``series.correction``: a multi-index k stands for the data x^k, and
+the solver passes its whole boundary polynomial.
+
+On a monomial the series is the paper's explicit basis
 
     u_k(x, y) = sum over componentwise m <= floor(k/2) of
                 binom(k, 2m) x^(k-2m) f_{2m}(y),
 
-and v_k(x, y) = u_k(x, a - y) carries the traces the other way around.
-
-Everything is generated with the width a as a formal Laurent variable
-(each family member carries a single overall 1/a), then specialized to a
-rational width by substitution.  Generators are pure and memoized.
+where the moment polynomial is f_{2m} = (2m)! s_m for an integer order m,
+and a multi-index m scales f_{2|m|} by ``multiindex_factor(m)``.  The
+width a is a positive rational, or None to keep it as a formal symbol
+(each family member then carries one overall 1/a).
 """
 
 from __future__ import annotations
@@ -22,60 +26,34 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .polyring import Poly, Ring, lift
+from .polyring import Poly
+from .series import Width, boundary_data, correction, member, one, quotient, width
 
 AMode = Union[None, int, Fraction]  # None = keep a symbolic
 
-# coefficient ring (y, a); a may appear to the power -1
-_FR = Ring(0, formal_a=True)
-_Y = _FR.y_var()
-_A = _FR.a_var()
-_AINV = Poly.monomial(_FR.nvars, (0, -1))
+
+@lru_cache(maxsize=1024)
+def _c(j: int, a: Width) -> Poly:
+    """s_j of sinh(ty)/sinh(ta): value x^k at y=a, 0 at y=0."""
+    return member(j, a, B=lambda i: quotient("t/sinh t", i))
 
 
-@lru_cache(maxsize=None)
-def _c(m: int) -> Poly:
-    """Series-division coefficient c_{2m} in the ring (y, a)."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    if m == 0:
-        return _Y * _AINV
-    acc = Poly.monomial(_FR.nvars, (2 * m + 1, 0), Fraction(1, math.factorial(2 * m + 1)))
-    for i in range(1, m + 1):
-        apow = Poly.monomial(
-            _FR.nvars, (0, 2 * i + 1), Fraction(1, math.factorial(2 * i + 1))
-        )
-        acc = acc - apow * _c(m - i)
-    return _AINV * acc
+@lru_cache(maxsize=1024)
+def _c_flip(j: int, a: Width) -> Poly:
+    """s_j of sinh(t(a-y))/sinh(ta): value x^k at y=0, 0 at y=a."""
+    # sinh(t(1-y)) = sinh(t) cosh(ty) - cosh(t) sinh(ty)
+    return member(j, a, A=one, B=lambda i: -quotient("t coth t", i))
 
 
 def c_coeffs(M: int, a: AMode = None) -> list[Poly]:
-    """Coefficients c_0 .. c_{2M}; with rational a, specialized polynomials in y."""
-    return [_specialize_f(_c(m), a) for m in range(M + 1)]
-
-
-@lru_cache(maxsize=None)
-def _f(m: int) -> Poly:
-    """f_{2m}(y) = (-1)^m (2m)! c_{2m}, in the ring (y, a)."""
-    sign = -1 if m % 2 else 1
-    return sign * math.factorial(2 * m) * _c(m)
-
-
-def _specialize_f(p: Poly, a: AMode) -> Poly:
-    if a is None:
-        return p
-    a = Fraction(a)
-    if a <= 0:
-        raise ValueError("layer width must be positive")
-    # drop the a slot after substitution: result lives in the ring (y)
-    return lift(p.subs(1, a), 1, (0, None))
+    """Coefficients c_0 .. c_{2M} of t^{2m} in sinh(ty)/sinh(ta)."""
+    a = width(a)
+    return [(-1) ** m * _c(m, a) for m in range(M + 1)]
 
 
 def f_poly(m: int, a: AMode = None) -> Poly:
     """The moment polynomial f_{2m}(y), symbolic or at a rational width."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    return _specialize_f(_f(m), a)
+    return _c(m, width(a)) * math.factorial(2 * m)
 
 
 def multiindex_factor(m: Sequence[int]) -> Fraction:
@@ -101,79 +79,15 @@ def multiindex_f(m: Sequence[int], a: AMode = None) -> Poly:
     return multiindex_factor(m) * f_poly(sum(m), a)
 
 
-def _normalize_index(k, n: int) -> tuple[int, ...]:
-    if isinstance(k, int):
-        if n != 1:
-            raise ValueError("integer exponent only valid for n = 1")
-        k = (k,)
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError(f"multi-index length {len(k)} does not match n={n}")
-    if any(e < 0 for e in k):
-        raise ValueError("multi-index entries must be non-negative")
-    return k
-
-
-def _half_range(k: tuple[int, ...]):
-    """All multi-indices m with 0 <= 2*mi <= ki, componentwise."""
-    if not k:
-        yield ()
-        return
-    for head in range(k[0] // 2 + 1):
-        for tail in _half_range(k[1:]):
-            yield (head,) + tail
-
-
-def _binom_product(k: tuple[int, ...], two_m: tuple[int, ...]) -> int:
-    prod = 1
-    for ki, ti in zip(k, two_m):
-        prod *= math.comb(ki, ti)
-    return prod
-
-
-def _assemble(k: tuple[int, ...], n: int, coeff_poly) -> Poly:
-    """Sum of binom(k,2m) x^(k-2m) * coeff_poly(m) in the formal ring of dim n."""
-    ring = Ring(n, formal_a=True)
-    result = ring.zero()
-    for m in _half_range(k):
-        c = _binom_product(k, tuple(2 * e for e in m))
-        x_exp = tuple(ki - 2 * mi for ki, mi in zip(k, m))
-        xpart = Poly.monomial(ring.nvars, x_exp + (0, 0), c)
-        ypart = lift(coeff_poly(m), ring.nvars, (ring.y, ring.a))
-        result = result + xpart * ypart
-    return result
-
-
-def _specialize(p: Poly, n: int, a: AMode) -> Poly:
-    if a is None:
-        return p
-    a = Fraction(a)
-    if a <= 0:
-        raise ValueError("layer width must be positive")
-    ring = Ring(n, formal_a=True)
-    positions = tuple(range(ring.nvars - 1)) + (None,)
-    return lift(p.subs(ring.a, a), ring.nvars - 1, positions)
-
-
-@lru_cache(maxsize=None)
-def _basis_u_formal(k: tuple[int, ...], n: int) -> Poly:
-    return _assemble(k, n, lambda m: multiindex_factor(m) * _f(sum(m)))
-
-
 def basis_u(k, n: int, a: AMode = None) -> Poly:
-    """Harmonic polynomial with trace 0 at y=0 and x^k at y=a."""
-    k = _normalize_index(k, n)
-    return _specialize(_basis_u_formal(k, n), n, a)
+    """Harmonic polynomial with trace 0 at y=0 and g at y=a.
 
-
-@lru_cache(maxsize=None)
-def _basis_v_formal(k: tuple[int, ...], n: int) -> Poly:
-    ring = Ring(n, formal_a=True)
-    u = _basis_u_formal(k, n)
-    return u.subs(ring.y, ring.a_var() - ring.y_var())
+    g is x^k for a multi-index k, or k itself when it is a Poly in
+    x1..xn, y free of y.
+    """
+    return correction(_c, boundary_data(k, n), n, width(a))
 
 
 def basis_v(k, n: int, a: AMode = None) -> Poly:
-    """Harmonic polynomial with trace x^k at y=0 and 0 at y=a."""
-    k = _normalize_index(k, n)
-    return _specialize(_basis_v_formal(k, n), n, a)
+    """Harmonic polynomial with trace g at y=0 and 0 at y=a (g as in basis_u)."""
+    return correction(_c_flip, boundary_data(k, n), n, width(a))

@@ -1,19 +1,18 @@
-"""Harmonic basis for the mixed Dirichlet-Neumann problem in a layer.
+"""Harmonic bases for the mixed Dirichlet-Neumann problem in a layer.
 
-Two polynomial families in y drive the construction, both obtained by
-exact power-series division against the even series of cosh(ta):
+Both corrections are finite series Σ_j s_j(y) Δ_x^j g in the spatial
+Laplacian, with s_j the coefficient of Δ_x^j (-t^2 standing for Δ_x) in
+one series quotient.  This module defines the two families, each cached
+per (j, width), and applies them with ``series.correction``:
 
-  * p_{2m}(y), from expanding cosh(t(a-y))/cosh(ta): the basis member
-    u_k = sum binom(k,2m) x^(k-2m) p_{2m}(y) takes the value x^k at y=0
-    and has vanishing y-derivative at y=a.
-  * q_{2m}(y), from expanding sinh(ty)/(t cosh(ta)): the basis member
-    v_l = sum binom(l,2m) x^(l-2m) q_{2m}(y) vanishes at y=0 and has
-    y-derivative x^l at y=a.
+  * value g at y=0 and zero y-derivative at y=a: cosh(t(a-y))/cosh(ta);
+  * zero value at y=0 and y-derivative g at y=a: sinh(ty)/(t cosh(ta)).
 
-The division recurrences are validated by the exact generating-function
-ring identities in the test suite.  The multi-index scaling for n > 1 is
-the same as in the Dirichlet case (both kernels have even radial symbols)
-and is covered by the harmonicity/trace oracles rather than assumed.
+The paper's families are p_{2m} = (2m)! s_m and q_{2m} = (2m)! s_m of
+these two quotients; on a monomial x^k the series is the explicit basis
+sum binom(k,2m) x^(k-2m) p_{2m}(y) (q for the derivative trace), scaled by
+the same multi-index factor as in the Dirichlet case.  The bases take a
+multi-index k for the data x^k, or the whole boundary polynomial.
 """
 
 from __future__ import annotations
@@ -23,71 +22,32 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .polyring import Poly, Ring, lift
-from .dirichlet import (
-    AMode,
-    _assemble,
-    _normalize_index,
-    _specialize,
-    _specialize_f,
-    multiindex_factor,
-)
-
-# coefficient ring (y, a); these families are honest polynomials in a
-_FR = Ring(0, formal_a=True)
+from .dirichlet import AMode, multiindex_factor
+from .polyring import Poly
+from .series import Width, boundary_data, correction, member, one, quotient, width
 
 
-@lru_cache(maxsize=None)
-def _d(m: int) -> Poly:
-    """Division coefficient of cosh(t(a-y))/cosh(ta) at t^{2m}, ring (y, a)."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    a_minus_y = _FR.a_var() - _FR.y_var()
-    acc = (a_minus_y ** (2 * m)) * Fraction(1, math.factorial(2 * m))
-    for i in range(1, m + 1):
-        apow = Poly.monomial(_FR.nvars, (0, 2 * i), Fraction(1, math.factorial(2 * i)))
-        acc = acc - apow * _d(m - i)
-    return acc
+@lru_cache(maxsize=1024)
+def _d(j: int, a: Width) -> Poly:
+    """s_j of cosh(t(a-y))/cosh(ta): value x^k at y=0, zero ∂_y at y=a."""
+    # cosh(t(1-y)) = cosh(t) cosh(ty) - t^2 (sinh(t)/t) (sinh(ty)/t), and -t^2 = s
+    return member(j, a, A=one, B=lambda i: quotient("tanh(t)/t", i - 1))
 
 
-@lru_cache(maxsize=None)
-def _e(m: int) -> Poly:
-    """Division coefficient of sinh(ty)/(t cosh(ta)) at t^{2m}, ring (y, a)."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    acc = Poly.monomial(
-        _FR.nvars, (2 * m + 1, 0), Fraction(1, math.factorial(2 * m + 1))
-    )
-    for i in range(1, m + 1):
-        apow = Poly.monomial(_FR.nvars, (0, 2 * i), Fraction(1, math.factorial(2 * i)))
-        acc = acc - apow * _e(m - i)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _p(m: int) -> Poly:
-    sign = -1 if m % 2 else 1
-    return sign * math.factorial(2 * m) * _d(m)
-
-
-@lru_cache(maxsize=None)
-def _q(m: int) -> Poly:
-    sign = -1 if m % 2 else 1
-    return sign * math.factorial(2 * m) * _e(m)
+@lru_cache(maxsize=1024)
+def _e(j: int, a: Width) -> Poly:
+    """s_j of sinh(ty)/(t cosh(ta)): value 0 at y=0, ∂_y x^k at y=a."""
+    return member(j, a, B=lambda i: quotient("sech t", i), odd=True)
 
 
 def p_poly(m: int, a: AMode = None) -> Poly:
     """Value-trace family p_{2m}(y); p_0 = 1, degree 2m in y."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    return _specialize_f(_p(m), a)
+    return _d(m, width(a)) * math.factorial(2 * m)
 
 
 def q_poly(m: int, a: AMode = None) -> Poly:
     """Derivative-trace family q_{2m}(y); q_0 = y, degree 2m+1 in y."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    return _specialize_f(_q(m), a)
+    return _e(m, width(a)) * math.factorial(2 * m)
 
 
 def mixed_multiindex_factor(m: Sequence[int]) -> Fraction:
@@ -95,23 +55,15 @@ def mixed_multiindex_factor(m: Sequence[int]) -> Fraction:
     return multiindex_factor(m)
 
 
-@lru_cache(maxsize=None)
-def _mixed_u_formal(k: tuple[int, ...], n: int) -> Poly:
-    return _assemble(k, n, lambda m: multiindex_factor(m) * _p(sum(m)))
-
-
 def mixed_basis_u(k, n: int, a: AMode = None) -> Poly:
-    """Harmonic polynomial: value x^k at y=0, zero y-derivative at y=a."""
-    k = _normalize_index(k, n)
-    return _specialize(_mixed_u_formal(k, n), n, a)
+    """Harmonic polynomial: value g at y=0, zero y-derivative at y=a.
 
-
-@lru_cache(maxsize=None)
-def _mixed_v_formal(l: tuple[int, ...], n: int) -> Poly:
-    return _assemble(l, n, lambda m: multiindex_factor(m) * _q(sum(m)))
+    g is x^k for a multi-index k, or k itself when it is a Poly in
+    x1..xn, y free of y.
+    """
+    return correction(_d, boundary_data(k, n), n, width(a))
 
 
 def mixed_basis_v(l, n: int, a: AMode = None) -> Poly:
-    """Harmonic polynomial: value 0 at y=0, y-derivative x^l at y=a."""
-    l = _normalize_index(l, n)
-    return _specialize(_mixed_v_formal(l, n), n, a)
+    """Harmonic polynomial: value 0 at y=0, y-derivative g at y=a (g as in mixed_basis_u)."""
+    return correction(_e, boundary_data(l, n), n, width(a))

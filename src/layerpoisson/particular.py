@@ -1,30 +1,29 @@
 """Particular polynomial solutions of the layer Poisson equation.
 
-Given a polynomial right-hand side P(x, y), builds a polynomial u with
-laplacian(u) = P, monomial by monomial.  The construction integrates each
-monomial x^k y^m twice in y and corrects with iterated spatial Laplacians,
-so the result has total degree deg(P) + 2.
+Given a polynomial right-hand side P(x, y), the particular solution is the
+finite series in the spatial Laplacian
+
+    u = sum_j (-1)^j I_y^(j+1) Δ_x^j P,    I_y = ∫_0^y ∫_0^s,
+
+applied to the whole of P at once by ``series.apply_dx_series``.  On a
+monomial x^k y^m this is the paper's y-integrated formula, and the result
+has total degree deg(P) + 2.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
 
-from .polyring import Poly, Ring
+from .polyring import Poly, Ring, from_sum
+from .series import apply_dx_series, normalize_index
 
 
-def _normalize_index(k, n: int) -> tuple[int, ...]:
-    if isinstance(k, int):
-        if n != 1:
-            raise ValueError("integer exponent only valid for n = 1")
-        k = (k,)
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError(f"multi-index length {len(k)} does not match n={n}")
-    if any(e < 0 for e in k):
-        raise ValueError("multi-index entries must be non-negative")
-    return k
+def _integrate_y(j: int, m: int) -> dict:
+    """(-1)^j I_y^(j+1) y^m = (-1)^j m!/(m+2j+2)! y^(m+2j+2), as a term map in y."""
+    e = m + 2 * j + 2
+    return {(e,): Fraction((-1) ** j * math.factorial(m), math.factorial(e))}
 
 
 def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
@@ -36,27 +35,8 @@ def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
         raise ValueError("spatial dimension must be at least 1")
     if m < 0:
         raise ValueError("y-exponent must be non-negative")
-    k = _normalize_index(k, n)
-    ring = Ring(n)
-    xk = ring.x_monomial(k)
-    total = sum(k)
-    result = ring.zero()
-    sign = 1
-    # m!/(m+2j+2)! built up as a running product of reciprocals
-    ratio = Fraction(1)
-    lap_term = xk
-    for j in range(total // 2 + 1):
-        ratio *= Fraction(1, (m + 2 * j + 1) * (m + 2 * j + 2))
-        if lap_term.is_zero():
-            break
-        y_power = Poly.monomial(ring.nvars, [0] * n + [m + 2 * j + 2])
-        result = result + sign * ratio * (y_power * lap_term)
-        # spatial Laplacian only (no y derivative)
-        lap_term = sum(
-            (lap_term.diff(i, 2) for i in range(n)), start=ring.zero()
-        )
-        sign = -sign
-    return result
+    k = normalize_index(k, n)
+    return inv_laplacian(Poly.monomial(n + 1, k + (m,)), n)
 
 
 def inv_laplacian_monomial_alt(k: int, m: int) -> Poly:
@@ -82,14 +62,10 @@ def inv_laplacian_monomial_alt(k: int, m: int) -> Poly:
 
 
 def inv_laplacian(P: Poly, n: int) -> Poly:
-    """Linear extension of the monomial formula to a full polynomial."""
+    """Particular solution of laplacian(u, n) = P: the I_y series on all of P."""
     ring = Ring(n)
     if P.nvars != ring.nvars:
         raise ValueError(
             f"right-hand side must live in the {ring.nvars}-variable ring x1..x{n}, y"
         )
-    result = ring.zero()
-    for exp, coeff in P.terms.items():
-        k, m = exp[:n], exp[n]
-        result = result + coeff * inv_laplacian_monomial(k, m, n)
-    return result
+    return from_sum(ring.nvars, apply_dx_series(P, n, lambda j: partial(_integrate_y, j), {}))

@@ -38,15 +38,9 @@ class Poly:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
-            coeff = Fraction(coeff)
-            if coeff:
-                c = canon.get(exp, 0) + coeff
-                if c:
-                    canon[exp] = c
-                else:
-                    canon.pop(exp, None)
+            add_term(canon, exp, Fraction(coeff))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", {exp: c for exp, c in canon.items() if c})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -135,12 +129,8 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            c = out.get(exp, 0) + coeff
-            if c:
-                out[exp] = c
-            else:
-                out.pop(exp, None)
-        return _raw(self.nvars, out)
+            add_term(out, exp, coeff)
+        return from_sum(self.nvars, out)
 
     __radd__ = __add__
 
@@ -163,13 +153,8 @@ class Poly:
         out: dict[Exponent, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                c = out.get(exp, 0) + ca * cb
-                if c:
-                    out[exp] = c
-                else:
-                    out.pop(exp, None)
-        return _raw(self.nvars, out)
+                add_term(out, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
+        return from_sum(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -219,10 +204,7 @@ class Poly:
         """Sum of second partials in x1..xn and y (variables 0..n)."""
         if n + 1 > self.nvars:
             raise ValueError(f"spatial dimension {n} exceeds available variables")
-        out = Poly(self.nvars)
-        for var in range(n + 1):
-            out = out + self.diff(var, 2)
-        return out
+        return _raw(self.nvars, second_partials(self.terms, n + 1))
 
     # -- substitution / evaluation ----------------------------------------
 
@@ -236,23 +218,17 @@ class Poly:
             raise ValueError(f"variable index {var} out of range")
         if isinstance(value, (int, Fraction)):
             r = Fraction(value)
+            powers: dict[int, Fraction] = {}
             out: dict[Exponent, Fraction] = {}
             for exp, coeff in self.terms.items():
                 e = exp[var]
-                if e < 0 and r == 0:
-                    raise ZeroDivisionError("substituting 0 into a negative power")
-                c = coeff * r ** e
-                if not c:
-                    continue
-                new = list(exp)
-                new[var] = 0
-                key = tuple(new)
-                c = out.get(key, 0) + c
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-            return _raw(self.nvars, out)
+                if e not in powers:
+                    if e < 0 and r == 0:
+                        raise ZeroDivisionError("substituting 0 into a negative power")
+                    powers[e] = r ** e
+                if powers[e]:
+                    add_term(out, exp[:var] + (0,) + exp[var + 1:], coeff * powers[e])
+            return from_sum(self.nvars, out)
         value = self._coerce(value)
         if value.is_constant():
             return self.subs(var, value.constant_value())
@@ -333,6 +309,28 @@ def _raw(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
     return p
+
+
+def add_term(terms: dict[Exponent, Fraction], exp: Exponent, coeff: Fraction) -> None:
+    """terms[exp] += coeff, without the slow int + Fraction on a new key."""
+    c = terms.get(exp)
+    terms[exp] = coeff if c is None else c + coeff
+
+
+def from_sum(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
+    """Poly from an accumulated term map that may still hold zero coefficients."""
+    return _raw(nvars, {exp: c for exp, c in terms.items() if c})
+
+
+def second_partials(terms: Mapping[Exponent, Fraction], count: int) -> dict[Exponent, Fraction]:
+    """Sum of the second partials in variables 0..count-1 of a term map."""
+    out: dict[Exponent, Fraction] = {}
+    for exp, coeff in terms.items():
+        for var in range(count):
+            e = exp[var]
+            if e >= 2:
+                add_term(out, exp[:var] + (e - 2,) + exp[var + 1:], coeff * (e * (e - 1)))
+    return {exp: c for exp, c in out.items() if c}
 
 
 def lift(p: Poly, nvars: int, positions: Sequence[int | None]) -> Poly:

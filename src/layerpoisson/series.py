@@ -1,0 +1,156 @@
+"""The layer solution operators as one series in the spatial Laplacian.
+
+Every operator the solver needs is a function of the spatial Laplacian
+Δ_x, and on polynomial data its series stops after finitely many terms:
+
+    particular solution   Σ_j (-1)^j I_y^(j+1) Δ_x^j P,   I_y = ∫_0^y ∫_0^s
+    harmonic correction   Σ_j s_j(y) Δ_x^j g
+
+The y-family s_j of a correction is the sequence of coefficients of one
+even-power-series quotient, written in s = -t^2 so that s stands for Δ_x.
+``dirichlet`` and ``mixed`` define their two families each.  At unit width
+the addition theorems split every such quotient as
+A(s) cosh(ty) + B(s) sinh(ty)/t, where A and B are 0, 1, or one of the
+scalar quotients t/sinh t, t coth t, tanh(t)/t and sech t.  So only scalar
+series are divided, and s_j is a sum of j + 1 terms.  Each s_j is
+homogeneous in (y, a), so at width a it is the unit-width member with y^l
+scaled by a^(degree - l).  The width is a positive rational, giving
+polynomials in y, or None, giving polynomials in (y, a), with negative
+powers of a where the degree is below that of y.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Mapping, Optional, Union
+
+from .polyring import Exponent, Poly, add_term, from_sum, second_partials
+
+Width = Optional[Fraction]  # None = keep a symbolic
+Coeff = Callable[[int], Fraction]  # s^i coefficient of a scalar series
+Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
+# j -> (y exponent m -> term map of the image of y^m under the j-th operator)
+Images = Callable[[int], Callable[[int], Mapping[Exponent, Fraction]]]
+
+
+def width(a: Union[None, int, Fraction]) -> Width:
+    """Validated width: None (symbolic) or a positive Fraction."""
+    if a is None:
+        return None
+    a = Fraction(a)
+    if a <= 0:
+        raise ValueError("layer width must be positive")
+    return a
+
+
+def normalize_index(k, n: int) -> tuple[int, ...]:
+    """A multi-index of length n; a bare int is accepted for n = 1."""
+    if isinstance(k, int):
+        if n != 1:
+            raise ValueError("integer exponent only valid for n = 1")
+        k = (k,)
+    k = tuple(k)
+    if len(k) != n:
+        raise ValueError(f"multi-index length {len(k)} does not match n={n}")
+    if any(e < 0 for e in k):
+        raise ValueError("multi-index entries must be non-negative")
+    return k
+
+
+def boundary_data(g, n: int) -> Poly:
+    """Boundary data as a Poly in x1..xn, y: x^k for a multi-index k, or g itself."""
+    if not isinstance(g, Poly):
+        return Poly.monomial(n + 1, normalize_index(g, n) + (0,))
+    if g.nvars != n + 1 or g.degree_in(n) > 0:
+        raise ValueError(f"boundary data must be a Poly in x1..x{n}, y free of y")
+    return g
+
+
+def _zero(i: int) -> Fraction:
+    return Fraction(0)
+
+
+def one(i: int) -> Fraction:
+    """s^i coefficient of the series 1."""
+    return Fraction(i == 0)
+
+
+def _sinhc(i: int) -> Fraction:
+    """s^i coefficient of sinh(t)/t; times y^(2i+1), that of sinh(ty)/t."""
+    return Fraction((-1) ** i, math.factorial(2 * i + 1))
+
+
+def _cosh(i: int) -> Fraction:
+    """s^i coefficient of cosh(t); times y^(2i), that of cosh(ty)."""
+    return Fraction((-1) ** i, math.factorial(2 * i))
+
+
+_QUOTIENTS = {
+    "t/sinh t": (one, _sinhc),
+    "t coth t": (_cosh, _sinhc),
+    "tanh(t)/t": (_sinhc, _cosh),
+    "sech t": (one, _cosh),
+}
+
+
+@lru_cache(maxsize=1024)
+def quotient(name: str, j: int) -> Fraction:
+    """s^j coefficient of the named scalar quotient N(s)/D(s), where D(0) = 1."""
+    if j < 0:
+        return Fraction(0)
+    N, D = _QUOTIENTS[name]
+    # filling 0 .. j-1 in order keeps the recursion one level deep
+    Q = [quotient(name, i) for i in range(j)]
+    return N(j) - sum((D(i) * Q[j - i] for i in range(1, j + 1)), Fraction(0))
+
+
+def member(j: int, a: Width, A: Coeff = _zero, B: Coeff = _zero, odd: bool = False) -> Poly:
+    """Coefficient s_j(y) of Δ_x^j in A(s) cosh(ty) + B(s) sinh(ty)/t, at width a.
+
+    A and B give the unit-width s^i coefficients.  The family is homogeneous
+    of degree 2j in (y, a), or 2j + 1 when ``odd``.
+    """
+    if j < 0:
+        raise ValueError("order must be non-negative")
+    unit = {2 * i: A(j - i) * _cosh(i) for i in range(j + 1) if A(j - i)}
+    unit.update({2 * i + 1: B(j - i) * _sinhc(i) for i in range(j + 1) if B(j - i)})
+    degree = 2 * j + odd
+    if a is None:
+        return Poly(2, {(l, degree - l): c for l, c in unit.items()})
+    return Poly(1, {(l,): c * a ** (degree - l) for l, c in unit.items()})
+
+
+def apply_dx_series(g: Poly, n: int, images: Images, out: dict) -> dict:
+    """Add the series Σ_j T_j Δ_x^j g into the term map ``out`` and return it.
+
+    ``g`` lives in the ring x1..xn, y.  ``images(j)`` gives the map from a
+    y exponent m to the term map of T_j y^m, a polynomial in y (and
+    possibly a); each output key is the x exponent of a term of Δ_x^j g
+    followed by a key of that map.  Zero coefficients may be left in
+    ``out``; ``from_sum`` drops them.
+    """
+    h, j = g.terms, 0
+    while h:
+        image = images(j)
+        for exp, c in h.items():
+            x = exp[:n]
+            for tail, q in image(exp[n]).items():
+                add_term(out, x + tail, c * q)
+        h = second_partials(h, n)
+        j += 1
+    return out
+
+
+def correction(family: Family, g: Poly, n: int, a: Width) -> Poly:
+    """Σ_j s_j(y) Δ_x^j g for y-free data g: the harmonic extension it names.
+
+    The result lives in x1..xn, y, followed by a when the width is symbolic.
+    """
+
+    def images(j):
+        terms = family(j, a).terms
+        return lambda m: terms  # g is free of y, so m is always 0
+
+    return from_sum(n + 1 + (a is None), apply_dx_series(g, n, images, {}))

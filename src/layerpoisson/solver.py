@@ -2,7 +2,10 @@
 
 solve() splits the problem into a particular solution of the Poisson
 equation plus a harmonic correction whose boundary data absorbs whatever
-the particular solution left on the two hyperplanes.  Every step is exact
+the particular solution left on the two hyperplanes.  Each part is one
+finite series in the spatial Laplacian (see ``series``), applied to the
+whole data polynomial: the harmonic corrections are the basis functions
+of ``dirichlet`` or ``mixed`` with the boundary polynomial as their data.  Every step is exact
 rational arithmetic, so verify() certifies the result by checking that
 three residual polynomials are identically zero.
 """
@@ -85,12 +88,6 @@ class SolutionReport:
         }
 
 
-def _x_monomials(p: Poly, n: int):
-    """Iterate (k, coeff) over a polynomial with no y-dependence."""
-    for exp, coeff in p.terms.items():
-        yield exp[:n], coeff
-
-
 def solve(problem: LayerProblem) -> SolutionReport:
     """Unique polynomial solution of the layer problem, with certification."""
     n, a, kind = problem.n, problem.a, problem.kind
@@ -98,21 +95,13 @@ def solve(problem: LayerProblem) -> SolutionReport:
     y = ring.y
 
     tilde = inv_laplacian(problem.rhs, n)
-    u = tilde
-
     lower_corr = problem.lower - tilde.subs(y, 0)
     if kind == "dirichlet":
         upper_corr = problem.upper - tilde.subs(y, a)
-        for k, coeff in _x_monomials(lower_corr, n):
-            u = u + coeff * dirichlet.basis_v(k, n, a)
-        for k, coeff in _x_monomials(upper_corr, n):
-            u = u + coeff * dirichlet.basis_u(k, n, a)
+        u = tilde + dirichlet.basis_v(lower_corr, n, a) + dirichlet.basis_u(upper_corr, n, a)
     else:
         upper_corr = problem.upper - tilde.diff(y).subs(y, a)
-        for k, coeff in _x_monomials(lower_corr, n):
-            u = u + coeff * mixed.mixed_basis_u(k, n, a)
-        for k, coeff in _x_monomials(upper_corr, n):
-            u = u + coeff * mixed.mixed_basis_v(k, n, a)
+        u = tilde + mixed.mixed_basis_u(lower_corr, n, a) + mixed.mixed_basis_v(upper_corr, n, a)
 
     report = verify(u, problem)
     if not report.verified:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +121,23 @@ def test_round_trip_parse_render(capsys):
     text = line.removeprefix("solution: ")
     p = parse_poly(text, 1)
     assert to_text(p, Ring(1).names) == text
+
+
+def test_tables_negative_max_m_is_usage_error(capsys):
+    assert main(["tables", "--family", "f", "--max-m", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: --max-m must be non-negative"
+
+
+def test_cli_import_skips_numeric_stack():
+    # numpy and scipy belong to the numcheck command alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, layerpoisson.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
