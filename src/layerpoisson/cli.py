@@ -3,7 +3,7 @@
 Output formats: plain canonical text, LaTeX, or JSON (set per-invocation
 with --output or by default through LAYERPOISSON_OUTPUT).  The exit status
 is 0 only when the requested computation succeeds and, for solve/verify,
-the solution is certified exact.
+the solution is certified exact; every input error exits 2.
 """
 
 from __future__ import annotations
@@ -28,56 +28,57 @@ class UsageError(ValueError):
 
 
 def _default_output() -> str:
-    fmt = os.environ.get(OUTPUT_ENV_VAR, "plain")
-    return fmt if fmt in FORMATS else "plain"
+    fmt = os.environ.get(OUTPUT_ENV_VAR) or "plain"
+    if fmt not in FORMATS:
+        raise UsageError(f"${OUTPUT_ENV_VAR} must be one of {', '.join(FORMATS)}, not {fmt!r}")
+    return fmt
 
 
-def _parse_width(text: str) -> Fraction:
+# problem field -> the flag that gives it when no --problem file is used
+_FLAGS = {"n": "dim", "a": "width", "kind": "kind", "rhs": "rhs", "lower": "lower", "upper": "upper"}
+
+
+def _problem_spec(args) -> dict:
+    """The six problem fields, from the --problem file or from the flags."""
+    if args.problem:
+        try:
+            with open(args.problem, encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise UsageError(f"cannot read problem file: {exc}") from None
+        if not isinstance(spec, dict):
+            raise UsageError("problem file must hold a JSON object")
+    else:
+        spec = {field: getattr(args, flag) for field, flag in _FLAGS.items()}
+    for field, flag in _FLAGS.items():
+        if spec.get(field) is None:
+            raise UsageError(f"problem file is missing field {field!r}" if args.problem
+                             else f"--{flag} is required unless --problem is given")
+    return spec
+
+
+def _parse(field: str, expr, n: int) -> Poly:
+    if not isinstance(expr, str):
+        raise UsageError(f"{field} must be a string, not {type(expr).__name__}")
     try:
-        a = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid width {text!r}: {exc}") from None
-    if a <= 0:
-        raise UsageError("width must be positive")
-    return a
-
-
-def _parse_data(expr: str, n: int, what: str, allow_y: bool) -> Poly:
-    try:
-        p = parse_poly(expr, n)
+        return parse_poly(expr, n)
     except PolyParseError as exc:
-        raise UsageError(f"cannot parse {what}: {exc}") from None
-    if not allow_y and p.degree_in(n) != 0:
-        raise UsageError(f"{what} must not involve y")
-    return p
+        raise UsageError(f"cannot parse {field}: {exc}") from None
 
 
 def _problem_from_args(args) -> LayerProblem:
-    if args.problem:
-        with open(args.problem, encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            n = int(data["n"])
-            a = _parse_width(str(data["a"]))
-            kind = data["kind"]
-            rhs = _parse_data(data["rhs"], n, "rhs", allow_y=True)
-            lower = _parse_data(data["lower"], n, "lower boundary", allow_y=False)
-            upper = _parse_data(data["upper"], n, "upper boundary", allow_y=False)
-        except KeyError as exc:
-            raise UsageError(f"problem file is missing field {exc}") from None
-    else:
-        for flag in ("dim", "width", "kind", "rhs", "lower", "upper"):
-            if getattr(args, flag, None) is None:
-                raise UsageError(f"--{flag} is required unless --problem is given")
-        n = args.dim
-        a = _parse_width(args.width)
-        kind = args.kind
-        rhs = _parse_data(args.rhs, n, "rhs", allow_y=True)
-        lower = _parse_data(args.lower, n, "lower boundary", allow_y=False)
-        upper = _parse_data(args.upper, n, "upper boundary", allow_y=False)
+    spec = _problem_spec(args)
     try:
-        return LayerProblem(n=n, a=a, rhs=rhs, kind=kind, lower=lower, upper=upper)
-    except ValueError as exc:
+        n = int(str(spec["n"]))  # through str, so a JSON float is refused, not truncated
+        return LayerProblem(
+            n=n,
+            a=Fraction(str(spec["a"])),
+            kind=spec["kind"],
+            rhs=_parse("rhs", spec["rhs"], n),
+            lower=_parse("lower", spec["lower"], n),
+            upper=_parse("upper", spec["upper"], n),
+        )
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -103,7 +104,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     problem = _problem_from_args(args)
-    u = _parse_data(args.solution, problem.n, "solution", allow_y=True)
+    u = _parse("solution", args.solution, problem.n)
     report = verify(u, problem)
     _print_report(report, problem.n, args.output)
     return 0 if report.verified else 1
@@ -131,7 +132,6 @@ def _cmd_tables(args) -> int:
     elif args.output == "latex":
         for m, p in entries:
             print(f"{args.family}_{{{2 * m}}}(y) = {to_latex(p, names)}")
-        return 0
     else:
         for m, p in entries:
             print(f"{args.family}{2 * m}(y) = {to_text(p, names)}")
@@ -169,15 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="layerpoisson",
         description="Exact polynomial solver for the Poisson equation in a layer.",
     )
-    parser.add_argument(
-        "--output",
+    # one dest for both positions: SUPPRESS leaves it unset where it is not
+    # given, so the flag after the subcommand wins over the one before it
+    output = dict(
         choices=FORMATS,
-        default=None,
-        dest="output_global",
+        default=argparse.SUPPRESS,
         help=f"output format (default from ${OUTPUT_ENV_VAR}, else plain)",
     )
+    parser.add_argument("--output", **output)
     fmt_parent = argparse.ArgumentParser(add_help=False)
-    fmt_parent.add_argument("--output", choices=FORMATS, default=None)
+    fmt_parent.add_argument("--output", **output)
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser(
@@ -205,13 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.output = args.output or args.output_global or _default_output()
     try:
+        if "output" not in args:
+            args.output = _default_output()
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

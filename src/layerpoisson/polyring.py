@@ -38,6 +38,8 @@ class Poly:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
+            if isinstance(coeff, (float, bool)):
+                raise TypeError(f"coefficient must be an exact rational, not {type(coeff).__name__}")
             add_term(canon, exp, Fraction(coeff))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {exp: c for exp, c in canon.items() if c})
@@ -54,7 +56,7 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, value: Scalar) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: Fraction(value)})
+        return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
@@ -66,7 +68,7 @@ class Poly:
 
     @staticmethod
     def monomial(nvars: int, exp: Sequence[int], coeff: Scalar = 1) -> "Poly":
-        return Poly(nvars, {tuple(exp): Fraction(coeff)})
+        return Poly(nvars, {tuple(exp): coeff})
 
     # -- basic predicates --------------------------------------------------
 
@@ -411,65 +413,51 @@ class Ring:
         return Poly.monomial(self.nvars, exp, coeff)
 
 
-def to_text(p: Poly, names: Sequence[str]) -> str:
-    """Canonical text form, e.g. ``1/20*x1^4*y^5 - 1/70*x1^2*y^7``."""
-    if len(names) != p.nvars:
-        raise ValueError("one name per variable required")
-    if not p.terms:
-        return "0"
-    pieces: list[str] = []
-    for i, (exp, coeff) in enumerate(p.sorted_terms()):
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, exp)
-            if e != 0
-        )
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
-    return " ".join(pieces)
-
-
 def _latex_name(name: str) -> str:
     if len(name) > 1 and name[1:].isdigit():
         return f"{name[0]}_{{{name[1:]}}}"
     return name
 
 
-def to_latex(p: Poly, names: Sequence[str]) -> str:
-    """LaTeX form in canonical order, nothing factored."""
+def _render(p: Poly, names: Sequence[str], latex: bool) -> str:
+    """Terms in canonical order, signs between them, unit coefficients left out."""
     if len(names) != p.nvars:
         raise ValueError("one name per variable required")
     if not p.terms:
         return "0"
+    if latex:
+        names = [_latex_name(name) for name in names]
+    times, power = ("", "{}^{{{}}}") if latex else ("*", "{}^{}")
     pieces: list[str] = []
     for i, (exp, coeff) in enumerate(p.sorted_terms()):
-        mono = "".join(
-            _latex_name(name) if e == 1 else f"{_latex_name(name)}^{{{e}}}"
+        mono = times.join(
+            name if e == 1 else power.format(name, e)
             for name, e in zip(names, exp)
             if e != 0
         )
         mag = abs(coeff)
-        if mag.denominator == 1:
-            coeff_tex = str(mag.numerator)
+        if latex and mag.denominator != 1:
+            number = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
         else:
-            coeff_tex = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+            number = str(mag)
         if not mono:
-            body = coeff_tex
+            body = number
         elif mag == 1:
             body = mono
         else:
-            body = f"{coeff_tex}{mono}"
+            body = f"{number}{times}{mono}"
         if i == 0:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
             pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
     return " ".join(pieces)
+
+
+def to_text(p: Poly, names: Sequence[str]) -> str:
+    """Canonical text form, e.g. ``1/20*x1^4*y^5 - 1/70*x1^2*y^7``."""
+    return _render(p, names, latex=False)
+
+
+def to_latex(p: Poly, names: Sequence[str]) -> str:
+    """LaTeX form in canonical order, nothing factored."""
+    return _render(p, names, latex=True)

@@ -39,6 +39,8 @@ def width(a: Union[None, int, Fraction]) -> Width:
     """Validated width: None (symbolic) or a positive Fraction."""
     if a is None:
         return None
+    if isinstance(a, (float, bool)):
+        raise TypeError(f"width must be an exact rational, not {type(a).__name__}")
     a = Fraction(a)
     if a <= 0:
         raise ValueError("layer width must be positive")

@@ -19,6 +19,7 @@ from typing import Literal
 from . import dirichlet, mixed
 from .particular import inv_laplacian
 from .polyring import Poly, Ring, lift
+from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
 
@@ -43,9 +44,9 @@ class LayerProblem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("spatial dimension must be at least 1")
-        object.__setattr__(self, "a", Fraction(self.a))
-        if self.a <= 0:
-            raise ValueError("layer width must be positive")
+        if self.a is None:
+            raise TypeError("a layer problem needs a rational width")
+        object.__setattr__(self, "a", width(self.a))
         if self.kind not in ("dirichlet", "mixed"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
         nvars = self.ring.nvars
@@ -88,19 +89,23 @@ class SolutionReport:
         }
 
 
+def _traces(p: Poly, problem: LayerProblem) -> tuple[Poly, Poly]:
+    """The boundary traces the problem's kind prescribes: p at y=0, and p or ∂p/∂y at y=a."""
+    y = problem.n
+    top = p if problem.kind == "dirichlet" else p.diff(y)
+    return p.subs(y, 0), top.subs(y, problem.a)
+
+
 def solve(problem: LayerProblem) -> SolutionReport:
     """Unique polynomial solution of the layer problem, with certification."""
-    n, a, kind = problem.n, problem.a, problem.kind
-    ring = problem.ring
-    y = ring.y
-
+    n, a = problem.n, problem.a
     tilde = inv_laplacian(problem.rhs, n)
-    lower_corr = problem.lower - tilde.subs(y, 0)
-    if kind == "dirichlet":
-        upper_corr = problem.upper - tilde.subs(y, a)
+    tilde_lower, tilde_upper = _traces(tilde, problem)
+    lower_corr = problem.lower - tilde_lower
+    upper_corr = problem.upper - tilde_upper
+    if problem.kind == "dirichlet":
         u = tilde + dirichlet.basis_v(lower_corr, n, a) + dirichlet.basis_u(upper_corr, n, a)
     else:
-        upper_corr = problem.upper - tilde.diff(y).subs(y, a)
         u = tilde + mixed.mixed_basis_u(lower_corr, n, a) + mixed.mixed_basis_v(upper_corr, n, a)
 
     report = verify(u, problem)
@@ -112,18 +117,11 @@ def solve(problem: LayerProblem) -> SolutionReport:
 
 def verify(u: Poly, problem: LayerProblem) -> SolutionReport:
     """Exact residuals of a candidate solution against the problem data."""
-    n, a = problem.n, problem.a
-    ring = problem.ring
-    if u.nvars != ring.nvars:
+    n = problem.n
+    if u.nvars != problem.ring.nvars:
         raise ValueError(f"solution must live in the ring x1..x{n}, y")
-    y = ring.y
-    residual_pde = u.laplacian(n) - problem.rhs
-    residual_lower = u.subs(y, 0) - problem.lower
-    if problem.kind == "dirichlet":
-        residual_upper = u.subs(y, a) - problem.upper
-    else:
-        residual_upper = u.diff(y).subs(y, a) - problem.upper
-    return SolutionReport(u, residual_pde, residual_lower, residual_upper)
+    lower, upper = _traces(u, problem)
+    return SolutionReport(u, u.laplacian(n) - problem.rhs, lower - problem.lower, upper - problem.upper)
 
 
 def rectangle_trace(u: Poly, x_edges: tuple[Fraction, Fraction]) -> tuple[Poly, Poly]:

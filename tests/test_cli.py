@@ -141,3 +141,58 @@ def test_cli_import_skips_numeric_stack():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+PROBLEM_SPEC = {"n": 1, "a": "1", "kind": "dirichlet", "rhs": "x^2", "lower": "0", "upper": "0"}
+
+
+def _problem_file(tmp_path, data) -> str:
+    path = tmp_path / "problem.json"
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp: ["solve", "--dim", "0", "--width", "1", "--kind", "dirichlet",
+                 "--rhs", "x^2", "--lower", "0", "--upper", "0"],
+    lambda tmp: ["solve", "--problem", _problem_file(tmp, [PROBLEM_SPEC])],
+    lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "n": "abc"})],
+    lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "rhs": 0})],
+    lambda tmp: ["solve", "--problem", _problem_file(
+        tmp, {k: v for k, v in PROBLEM_SPEC.items() if k != "upper"})],
+    lambda tmp: ["solve", "--problem", _problem_file(tmp, b"\xff{")],
+], ids=["dim-0", "json-array", "n-not-a-number", "rhs-not-a-string", "missing-upper", "not-utf8"])
+def test_bad_problem_is_one_line_usage_error(make_argv, tmp_path, capsys):
+    assert main(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_problem_file_accepts_numbers_as_strings(tmp_path, capsys):
+    spec = {**PROBLEM_SPEC, "n": "3", "a": "7/3", "rhs": "x1*x2*y"}
+    assert main(["solve", "--problem", _problem_file(tmp_path, spec)]) == 0
+    assert "verified: true" in capsys.readouterr().out
+
+
+def test_output_flag_after_subcommand_wins(capsys):
+    tables = ["tables", "--family", "f", "--max-m", "0"]
+    assert main(["--output", "json"] + tables) == 0
+    json.loads(capsys.readouterr().out)
+    assert main(tables + ["--output", "latex"]) == 0
+    assert capsys.readouterr().out == "f_{0}(y) = ya^{-1}\n"
+    assert main(["--output", "json"] + tables + ["--output", "plain"]) == 0
+    assert capsys.readouterr().out == "f0(y) = y*a^-1\n"
+
+
+def test_invalid_output_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LAYERPOISSON_OUTPUT", "xml")
+    tables = ["tables", "--family", "f", "--max-m", "0"]
+    assert main(tables) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "LAYERPOISSON_OUTPUT" in captured.err
+    # an explicit --output does not read the variable
+    assert main(tables + ["--output", "plain"]) == 0
+    assert capsys.readouterr().out == "f0(y) = y*a^-1\n"

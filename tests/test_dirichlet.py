@@ -179,3 +179,9 @@ def test_rejects_bad_input():
         f_poly(2, a=0)
     with pytest.raises(ValueError):
         basis_u((1, 2), 1)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, True])
+def test_rejects_inexact_width(a):
+    with pytest.raises(TypeError):
+        basis_u(2, 1, a)

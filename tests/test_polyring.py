@@ -142,6 +142,21 @@ def test_latex_rendering():
     assert to_latex(p, XY) == "\\frac{1}{3}x_{1}^{2}y - y^{2} + 2"
 
 
+def test_text_and_latex_rendering_of_a_laurent_polynomial():
+    # unit and rational coefficients of both signs, a negative power of a, a constant
+    p = P("x1^2*y^2 - 3/4*x1*y*a - y*a^-1 + 7/2", XYA)
+    assert to_text(p, XYA) == "x1^2*y^2 - 3/4*x1*y*a - y*a^-1 + 7/2"
+    assert to_latex(p, XYA) == "x_{1}^{2}y^{2} - \\frac{3}{4}x_{1}ya - ya^{-1} + \\frac{7}{2}"
+
+
+@pytest.mark.parametrize("coeff", [0.5, 2.0, True, False])
+def test_inexact_coefficients_are_rejected(coeff):
+    with pytest.raises(TypeError):
+        Poly(2, {(1, 0): coeff})
+    with pytest.raises(TypeError):
+        Poly.const(2, coeff)
+
+
 def test_lift_and_drop():
     p = P("y^3 - y*a^2", ("y", "a"))
     lifted = lift(p, 3, (1, 2))

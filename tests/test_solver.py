@@ -117,6 +117,20 @@ def test_problem_invariants():
                      lower=Poly.zero(2), upper=Poly.zero(2))
 
 
+@pytest.mark.parametrize("a", [0.1, 1.0, True, None])
+def test_problem_rejects_an_inexact_width(a):
+    with pytest.raises(TypeError):
+        LayerProblem(n=1, a=a, rhs=Poly.zero(2), kind="dirichlet",
+                     lower=Poly.zero(2), upper=Poly.zero(2))
+
+
+def test_problem_accepts_exact_widths():
+    for a in (1, Fraction(7, 3)):
+        problem = LayerProblem(n=1, a=a, rhs=Poly.zero(2), kind="dirichlet",
+                               lower=Poly.zero(2), upper=Poly.zero(2))
+        assert isinstance(problem.a, Fraction) and problem.a == Fraction(a)
+
+
 def _random_poly(rng, ring, max_deg, no_y=False):
     terms = {}
     for _ in range(rng.randint(0, 4)):
