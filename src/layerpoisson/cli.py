@@ -66,13 +66,23 @@ def _parse(field: str, expr, n: int) -> Poly:
         raise UsageError(f"cannot parse {field}: {exc}") from None
 
 
+def _width(value) -> Fraction:
+    text = str(value)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"width: zero denominator in {text!r}") from None
+    except ValueError:
+        raise UsageError(f"width: not a rational number: {text!r}") from None
+
+
 def _problem_from_args(args) -> LayerProblem:
     spec = _problem_spec(args)
     try:
         n = int(str(spec["n"]))  # through str, so a JSON float is refused, not truncated
         return LayerProblem(
             n=n,
-            a=Fraction(str(spec["a"])),
+            a=_width(spec["a"]),
             kind=spec["kind"],
             rhs=_parse("rhs", spec["rhs"], n),
             lower=_parse("lower", spec["lower"], n),

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import partial
 
-from .polyring import Poly, Ring, from_sum
+from .polyring import Poly, Ring
 from .series import apply_dx_series, normalize_index
 
 
@@ -68,4 +68,4 @@ def inv_laplacian(P: Poly, n: int) -> Poly:
         raise ValueError(
             f"right-hand side must live in the {ring.nvars}-variable ring x1..x{n}, y"
         )
-    return from_sum(ring.nvars, apply_dx_series(P, n, lambda j: partial(_integrate_y, j), {}))
+    return apply_dx_series(P, n, lambda j: partial(_integrate_y, j), ring.nvars)

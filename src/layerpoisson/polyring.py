@@ -11,10 +11,25 @@ and an optional last slot holds the formal layer-width symbol ``a``.  The
 ``a`` slot is the only one allowed to carry a negative exponent (the
 harmonic-basis families carry a single overall 1/a factor); the spatial
 and vertical exponents are always non-negative.
+
+The kernels that dominate a solve (the Laplacian, substitution of a
+scalar, and the Δ_x series in ``series``) do not work on ``Fraction``
+coefficients term by term.  Each turns its input term map once into the
+form ``(D, {exp: int})``: one common denominator D, the lcm of the
+coefficient denominators, over integer numerators.  It then does every
+product and sum in ``int`` and returns to ``Fraction(num, D)`` once per
+output term, the only reduction it does.  This form lives only inside
+those kernels; a ``Poly`` always holds reduced ``Fraction``s.
+
+Every scalar that enters a ``Poly`` (a coefficient, an operand of ``+``,
+``-``, ``*`` or ``/``, a substituted value, an evaluation point) passes
+``as_scalar``: it must be an ``int`` or a ``Fraction``; ``float`` and
+``bool`` are refused, so no inexact value reaches the exact path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,9 +53,7 @@ class Poly:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
-            if isinstance(coeff, (float, bool)):
-                raise TypeError(f"coefficient must be an exact rational, not {type(coeff).__name__}")
-            add_term(canon, exp, Fraction(coeff))
+            add_term(canon, exp, as_scalar(coeff))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {exp: c for exp, c in canon.items() if c})
         object.__setattr__(self, "_hash", None)
@@ -123,9 +136,7 @@ class Poly:
             if other.nvars != self.nvars:
                 raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(self.nvars, other)
-        raise TypeError(f"cannot combine Poly with {type(other).__name__}")
+        return Poly.const(self.nvars, as_scalar(other))
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -147,7 +158,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = as_scalar(other)
             if not other:
                 return Poly(self.nvars)
             return _raw(self.nvars, {exp: c * other for exp, c in self.terms.items()})
@@ -161,9 +172,10 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return self * (Fraction(1) / Fraction(other))
-        raise TypeError("can only divide a Poly by a nonzero scalar")
+        other = as_scalar(other)
+        if not other:
+            raise TypeError("can only divide a Poly by a nonzero scalar")
+        return self * (1 / other)
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -206,7 +218,8 @@ class Poly:
         """Sum of second partials in x1..xn and y (variables 0..n)."""
         if n + 1 > self.nvars:
             raise ValueError(f"spatial dimension {n} exceeds available variables")
-        return _raw(self.nvars, second_partials(self.terms, n + 1))
+        D, nums = to_nums(self.terms)
+        return from_nums(self.nvars, D, second_partials(nums, n + 1))
 
     # -- substitution / evaluation ----------------------------------------
 
@@ -218,22 +231,11 @@ class Poly:
         """
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        if isinstance(value, (int, Fraction)):
-            r = Fraction(value)
-            powers: dict[int, Fraction] = {}
-            out: dict[Exponent, Fraction] = {}
-            for exp, coeff in self.terms.items():
-                e = exp[var]
-                if e not in powers:
-                    if e < 0 and r == 0:
-                        raise ZeroDivisionError("substituting 0 into a negative power")
-                    powers[e] = r ** e
-                if powers[e]:
-                    add_term(out, exp[:var] + (0,) + exp[var + 1:], coeff * powers[e])
-            return from_sum(self.nvars, out)
+        if not isinstance(value, Poly):
+            return self._subs_scalar(var, as_scalar(value))
         value = self._coerce(value)
         if value.is_constant():
-            return self.subs(var, value.constant_value())
+            return self._subs_scalar(var, value.constant_value())
         # group terms by the exponent of var, then expand value^e once per group
         groups: dict[int, dict[Exponent, Fraction]] = {}
         for exp, coeff in self.terms.items():
@@ -251,11 +253,29 @@ class Poly:
             power = power * value
         return out_poly
 
+    def _subs_scalar(self, var: int, r: Fraction) -> "Poly":
+        """Substitute r = p/q: every term c*v^e becomes c*p^(e-lo)*q^(hi-e) over p^-lo*q^hi."""
+        exps = {exp[var] for exp in self.terms}
+        lo, hi = min(exps, default=0), max(exps, default=0)
+        if not r:
+            if lo < 0:
+                raise ZeroDivisionError("substituting 0 into a negative power")
+            return _raw(self.nvars, {exp: c for exp, c in self.terms.items() if not exp[var]})
+        lo, hi = min(lo, 0), max(hi, 0)
+        p, q = r.numerator, r.denominator
+        scale = {e: p ** (e - lo) * q ** (hi - e) for e in exps}
+        D, nums = to_nums(self.terms)
+        out: dict[Exponent, int] = {}
+        for exp, c in nums.items():
+            key = exp[:var] + (0,) + exp[var + 1:]
+            out[key] = out.get(key, 0) + c * scale[exp[var]]
+        return from_nums(self.nvars, D * p ** -lo * q ** hi, out)
+
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        pt = [Fraction(v) for v in point]
+        pt = [as_scalar(v) for v in point]
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             val = coeff
@@ -313,6 +333,13 @@ def _raw(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
     return p
 
 
+def as_scalar(value) -> Fraction:
+    """An exact rational scalar as a Fraction; float, bool and other types are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an exact rational scalar, not {type(value).__name__}")
+    return Fraction(value)
+
+
 def add_term(terms: dict[Exponent, Fraction], exp: Exponent, coeff: Fraction) -> None:
     """terms[exp] += coeff, without the slow int + Fraction on a new key."""
     c = terms.get(exp)
@@ -324,14 +351,29 @@ def from_sum(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
     return _raw(nvars, {exp: c for exp, c in terms.items() if c})
 
 
-def second_partials(terms: Mapping[Exponent, Fraction], count: int) -> dict[Exponent, Fraction]:
-    """Sum of the second partials in variables 0..count-1 of a term map."""
-    out: dict[Exponent, Fraction] = {}
-    for exp, coeff in terms.items():
+def to_nums(terms: Mapping[Exponent, Fraction]) -> tuple[int, dict[Exponent, int]]:
+    """The kernel form (D, numerators) of a term map: coefficient = numerator / D."""
+    D = math.lcm(*{c.denominator for c in terms.values()})
+    return D, {exp: c.numerator * (D // c.denominator) for exp, c in terms.items()}
+
+
+def from_nums(nvars: int, D: int, nums: Mapping[Exponent, int]) -> Poly:
+    """Poly with coefficients num / D, dropping zero numerators."""
+    return _raw(nvars, {exp: Fraction(c, D) for exp, c in nums.items() if c})
+
+
+def second_partials(nums: Mapping[Exponent, int], count: int) -> dict[Exponent, int]:
+    """Sum of the second partials in variables 0..count-1 of a map of numerators."""
+    out: dict[Exponent, int] = {}
+    for exp, c in nums.items():
+        key = list(exp)
         for var in range(count):
-            e = exp[var]
+            e = key[var]
             if e >= 2:
-                add_term(out, exp[:var] + (e - 2,) + exp[var + 1:], coeff * (e * (e - 1)))
+                key[var] = e - 2
+                k = tuple(key)
+                key[var] = e
+                out[k] = out.get(k, 0) + c * (e * (e - 1))
     return {exp: c for exp, c in out.items() if c}
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Union
 
-from .polyring import Exponent, Poly, add_term, from_sum, second_partials
+from .polyring import Exponent, Poly, _raw, as_scalar, from_nums, second_partials, to_nums
 
 Width = Optional[Fraction]  # None = keep a symbolic
 Coeff = Callable[[int], Fraction]  # s^i coefficient of a scalar series
@@ -39,9 +39,7 @@ def width(a: Union[None, int, Fraction]) -> Width:
     """Validated width: None (symbolic) or a positive Fraction."""
     if a is None:
         return None
-    if isinstance(a, (float, bool)):
-        raise TypeError(f"width must be an exact rational, not {type(a).__name__}")
-    a = Fraction(a)
+    a = as_scalar(a)
     if a <= 0:
         raise ValueError("layer width must be positive")
     return a
@@ -79,11 +77,13 @@ def one(i: int) -> Fraction:
     return Fraction(i == 0)
 
 
+@lru_cache(maxsize=1024)
 def _sinhc(i: int) -> Fraction:
     """s^i coefficient of sinh(t)/t; times y^(2i+1), that of sinh(ty)/t."""
     return Fraction((-1) ** i, math.factorial(2 * i + 1))
 
 
+@lru_cache(maxsize=1024)
 def _cosh(i: int) -> Fraction:
     """s^i coefficient of cosh(t); times y^(2i), that of cosh(ty)."""
     return Fraction((-1) ** i, math.factorial(2 * i))
@@ -116,33 +116,48 @@ def member(j: int, a: Width, A: Coeff = _zero, B: Coeff = _zero, odd: bool = Fal
     """
     if j < 0:
         raise ValueError("order must be non-negative")
-    unit = {2 * i: A(j - i) * _cosh(i) for i in range(j + 1) if A(j - i)}
-    unit.update({2 * i + 1: B(j - i) * _sinhc(i) for i in range(j + 1) if B(j - i)})
+    unit = {}
+    for i in range(j + 1):
+        ca, cb = A(j - i), B(j - i)
+        if ca:
+            unit[2 * i] = ca * _cosh(i)
+        if cb:
+            unit[2 * i + 1] = cb * _sinhc(i)
     degree = 2 * j + odd
     if a is None:
-        return Poly(2, {(l, degree - l): c for l, c in unit.items()})
-    return Poly(1, {(l,): c * a ** (degree - l) for l, c in unit.items()})
+        return _raw(2, {(l, degree - l): c for l, c in unit.items()})
+    return _raw(1, {(l,): c * a ** (degree - l) for l, c in unit.items()})
 
 
-def apply_dx_series(g: Poly, n: int, images: Images, out: dict) -> dict:
-    """Add the series Σ_j T_j Δ_x^j g into the term map ``out`` and return it.
+def apply_dx_series(g: Poly, n: int, images: Images, nvars: int) -> Poly:
+    """The series Σ_j T_j Δ_x^j g, a Poly in ``nvars`` variables.
 
     ``g`` lives in the ring x1..xn, y.  ``images(j)`` gives the map from a
     y exponent m to the term map of T_j y^m, a polynomial in y (and
     possibly a); each output key is the x exponent of a term of Δ_x^j g
-    followed by a key of that map.  Zero coefficients may be left in
-    ``out``; ``from_sum`` drops them.
+    followed by a key of that map.  The powers Δ_x^j g share the
+    denominator D of g, and the images used are put over their lcm L, so
+    the sum is accumulated in integers over D*L.
     """
-    h, j = g.terms, 0
+    D, h = to_nums(g.terms)
+    powers = []  # (numerators of Δ_x^j g, images(j))
     while h:
-        image = images(j)
+        powers.append((h, images(len(powers))))
+        h = second_partials(h, n)
+    used = {(j, m): image(m) for j, (h, image) in enumerate(powers) for m in {e[n] for e in h}}
+    L = math.lcm(*{q.denominator for t in used.values() for q in t.values()})
+    scaled = {
+        key: [(tail, q.numerator * (L // q.denominator)) for tail, q in t.items()]
+        for key, t in used.items()
+    }
+    out: dict[Exponent, int] = {}
+    for j, (h, _) in enumerate(powers):
         for exp, c in h.items():
             x = exp[:n]
-            for tail, q in image(exp[n]).items():
-                add_term(out, x + tail, c * q)
-        h = second_partials(h, n)
-        j += 1
-    return out
+            for tail, q in scaled[j, exp[n]]:
+                key = x + tail
+                out[key] = out.get(key, 0) + c * q
+    return from_nums(nvars, D * L, out)
 
 
 def correction(family: Family, g: Poly, n: int, a: Width) -> Poly:
@@ -155,4 +170,4 @@ def correction(family: Family, g: Poly, n: int, a: Width) -> Poly:
         terms = family(j, a).terms
         return lambda m: terms  # g is free of y, so m is always 0
 
-    return from_sum(n + 1 + (a is None), apply_dx_series(g, n, images, {}))
+    return apply_dx_series(g, n, images, n + 1 + (a is None))

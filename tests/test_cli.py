@@ -196,3 +196,15 @@ def test_invalid_output_env_is_usage_error(capsys, monkeypatch):
     # an explicit --output does not read the variable
     assert main(tables + ["--output", "plain"]) == 0
     assert capsys.readouterr().out == "f0(y) = y*a^-1\n"
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp: ["solve", "--dim", "1", "--width", "1/0", "--kind", "dirichlet",
+                 "--rhs", "x^2", "--lower", "0", "--upper", "0"],
+    lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "a": "1/0"})],
+], ids=["flag", "problem-file"])
+def test_zero_denominator_width_names_the_width(make_argv, tmp_path, capsys):
+    assert main(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: width: zero denominator in '1/0'\n"

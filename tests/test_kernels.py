@@ -1,0 +1,140 @@
+"""The integer-numerator kernels against plain ``Fraction`` references.
+
+The Laplacian, scalar substitution, the particular solution and the
+harmonic corrections run on integer numerators over one common
+denominator.  Each is checked here against a term-by-term ``Fraction``
+loop written in this file, on random polynomials.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from layerpoisson import dirichlet, mixed
+from layerpoisson.particular import inv_laplacian
+from layerpoisson.polyring import Poly
+from layerpoisson.series import correction
+
+FAMILIES = {"c": dirichlet._c, "c_flip": dirichlet._c_flip, "d": mixed._d, "e": mixed._e}
+
+rationals = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+nonzero = rationals.filter(bool)
+widths = st.one_of(st.none(), st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9))
+
+
+EXP = st.integers(0, 5)
+LAURENT = st.integers(-3, 3)  # exponents of the width slot a
+
+
+def term_maps(*slots):
+    """Random term maps whose i-th exponent is drawn from slots[i]."""
+    return st.dictionaries(st.tuples(*slots), rationals, max_size=8)
+
+
+# -- plain Fraction references ---------------------------------------------
+
+
+def ref_second_partials(terms, count):
+    out = {}
+    for exp, c in terms.items():
+        for var in range(count):
+            e = exp[var]
+            if e >= 2:
+                key = exp[:var] + (e - 2,) + exp[var + 1:]
+                out[key] = out.get(key, Fraction(0)) + c * e * (e - 1)
+    return {exp: c for exp, c in out.items() if c}
+
+
+def ref_subs(terms, var, r):
+    out = {}
+    for exp, c in terms.items():
+        key = exp[:var] + (0,) + exp[var + 1:]
+        out[key] = out.get(key, Fraction(0)) + c * r ** exp[var]
+    return {exp: c for exp, c in out.items() if c}
+
+
+def ref_series(terms, n, image):
+    """Σ_j Σ_terms c * image(j, m) for the terms c x^k y^m of Δ_x^j g."""
+    out, j = {}, 0
+    while terms:
+        for exp, c in terms.items():
+            for tail, q in image(j, exp[n]).items():
+                key = exp[:n] + tail
+                out[key] = out.get(key, Fraction(0)) + c * q
+        terms = ref_second_partials(terms, n)
+        j += 1
+    return {exp: c for exp, c in out.items() if c}
+
+
+def ref_inv_laplacian(terms, n):
+    def image(j, m):
+        e = m + 2 * j + 2
+        return {(e,): Fraction((-1) ** j * math.factorial(m), math.factorial(e))}
+
+    return ref_series(terms, n, image)
+
+
+def ref_correction(family, terms, n, a):
+    return ref_series(terms, n, lambda j, m: dict(family(j, a).terms))
+
+
+# -- the kernels against them -----------------------------------------------
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), term_maps(*[EXP] * (n + 1), LAURENT))))
+@settings(max_examples=80, deadline=None)
+def test_laplacian_matches_fraction_reference(case):
+    # the last slot is a Laurent width slot that the Laplacian leaves alone
+    n, terms = case
+    p = Poly(n + 2, terms)
+    assert p.laplacian(n).terms == ref_second_partials(p.terms, n + 1)
+
+
+laurent_terms = term_maps(EXP, EXP, LAURENT)  # x1, y, a
+
+
+@given(laurent_terms, st.sampled_from([0, 1]), st.one_of(st.just(Fraction(0)), rationals))
+@settings(max_examples=80, deadline=None)
+def test_subs_of_a_spatial_or_vertical_scalar_matches_reference(terms, var, r):
+    p = Poly(3, terms)
+    assert p.subs(var, r).terms == ref_subs(p.terms, var, r)
+
+
+@given(laurent_terms, nonzero)
+@settings(max_examples=80, deadline=None)
+def test_subs_into_the_laurent_slot_matches_reference(terms, r):
+    p = Poly(3, terms)
+    assert p.subs(2, r).terms == ref_subs(p.terms, 2, r)
+
+
+@given(laurent_terms)
+@settings(max_examples=40, deadline=None)
+def test_subs_of_zero_into_a_negative_power_raises(terms):
+    p = Poly(3, terms)
+    if any(exp[2] < 0 for exp in p.terms):
+        with pytest.raises(ZeroDivisionError):
+            p.subs(2, 0)
+    else:
+        assert p.subs(2, 0).terms == ref_subs(p.terms, 2, Fraction(0))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), term_maps(*[EXP] * (n + 1)))))
+@settings(max_examples=60, deadline=None)
+def test_inv_laplacian_matches_fraction_reference(case):
+    n, terms = case
+    P = Poly(n + 1, terms)
+    assert inv_laplacian(P, n).terms == ref_inv_laplacian(P.terms, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@given(case=st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), term_maps(*[EXP] * n, st.just(0)))), a=widths)
+@settings(max_examples=30, deadline=None)
+def test_correction_matches_fraction_reference(name, case, a):
+    # symbolic width (a=None) puts the result in x1..xn, y, a
+    n, terms = case
+    family = FAMILIES[name]
+    g = Poly(n + 1, terms)
+    assert correction(family, g, n, a).terms == ref_correction(family, g.terms, n, a)

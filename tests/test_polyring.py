@@ -157,6 +157,54 @@ def test_inexact_coefficients_are_rejected(coeff):
         Poly.const(2, coeff)
 
 
+INEXACT = [0.5, 2.0, True, False]
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_inexact_coefficient_in_a_term_map_is_rejected(value):
+    with pytest.raises(TypeError):
+        Poly(2, [((0, 1), 1), ((0, 1), value)])
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_inexact_scalar_operand_is_rejected(value):
+    # + and - go through _coerce
+    p = P("x1 + y")
+    with pytest.raises(TypeError):
+        p + value
+    with pytest.raises(TypeError):
+        value - p
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_inexact_scalar_factor_is_rejected(value):
+    p = P("x1 + y")
+    with pytest.raises(TypeError):
+        p * value
+    with pytest.raises(TypeError):
+        value * p
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_inexact_scalar_divisor_is_rejected(value):
+    with pytest.raises(TypeError):
+        P("x1 + y") / value
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_inexact_substituted_scalar_is_rejected(value):
+    with pytest.raises(TypeError):
+        P("x1 + y").subs(0, value)
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_inexact_evaluation_point_is_rejected(value):
+    with pytest.raises(TypeError):
+        Poly.variable(2, 0).eval([value, 0])
+    with pytest.raises(TypeError):
+        Poly.variable(2, 0).eval([0, value])
+
+
 def test_lift_and_drop():
     p = P("y^3 - y*a^2", ("y", "a"))
     lifted = lift(p, 3, (1, 2))
