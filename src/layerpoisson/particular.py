@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 
 from .polyring import Poly, Ring
 from .series import apply_dx_series, normalize_index
 
 
-def _integrate_y(j: int, m: int) -> dict:
-    """(-1)^j I_y^(j+1) y^m = (-1)^j m!/(m+2j+2)! y^(m+2j+2), as a term map in y."""
+def _integrate_y(j: int, m: int) -> Poly:
+    """(-1)^j I_y^(j+1) y^m = (-1)^j m!/(m+2j+2)! y^(m+2j+2), a Poly in y."""
     e = m + 2 * j + 2
-    return {(e,): Fraction((-1) ** j * math.factorial(m), math.factorial(e))}
+    return Poly.monomial(1, (e,), Fraction((-1) ** j * math.factorial(m), math.factorial(e)))
 
 
 def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
@@ -68,4 +67,4 @@ def inv_laplacian(P: Poly, n: int) -> Poly:
         raise ValueError(
             f"right-hand side must live in the {ring.nvars}-variable ring x1..x{n}, y"
         )
-    return apply_dx_series(P, n, lambda j: partial(_integrate_y, j), ring.nvars)
+    return apply_dx_series(P, n, _integrate_y, ring.nvars)

@@ -1,9 +1,14 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent tuples to ``Fraction`` coefficients.
-Zero coefficients are never stored, so equality of polynomials is equality
-of term maps.  All values are immutable and every operation is a pure
-function; instances can be shared freely between threads.
+A polynomial is stored in one canonical form: a positive common
+denominator ``den`` and a map ``nums`` from exponent tuples to nonzero
+``int`` numerators, with ``gcd(den, *nums) == 1``; the coefficient of
+x^exp is nums[exp]/den.  Every operation computes in ``int`` and returns
+through ``reduced``, which drops zero numerators and divides out the gcd,
+so equality of polynomials is equality of (nvars, den, nums).  The map
+``terms`` of reduced ``Fraction`` coefficients is a view built from that
+form when first read.  All values are immutable and every operation is a
+pure function; instances can be shared freely between threads.
 
 Variable convention used throughout the package: the first ``n`` slots are
 the spatial variables x1..xn, the next slot is the vertical variable y,
@@ -11,15 +16,6 @@ and an optional last slot holds the formal layer-width symbol ``a``.  The
 ``a`` slot is the only one allowed to carry a negative exponent (the
 harmonic-basis families carry a single overall 1/a factor); the spatial
 and vertical exponents are always non-negative.
-
-The kernels that dominate a solve (the Laplacian, substitution of a
-scalar, and the Δ_x series in ``series``) do not work on ``Fraction``
-coefficients term by term.  Each turns its input term map once into the
-form ``(D, {exp: int})``: one common denominator D, the lcm of the
-coefficient denominators, over integer numerators.  It then does every
-product and sum in ``int`` and returns to ``Fraction(num, D)`` once per
-output term, the only reduction it does.  This form lives only inside
-those kernels; a ``Poly`` always holds reduced ``Fraction``s.
 
 Every scalar that enters a ``Poly`` (a coefficient, an operand of ``+``,
 ``-``, ``*`` or ``/``, a substituted value, an evaluation point) passes
@@ -42,24 +38,50 @@ Scalar = Union[int, Fraction]
 class Poly:
     """Immutable sparse polynomial in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "den", "nums", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | Iterable = ()):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canon: dict[Exponent, Fraction] = {}
+        coeffs: dict[Exponent, Fraction] = {}
         for exp, coeff in items:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
-            add_term(canon, exp, as_scalar(coeff))
+            coeff = as_scalar(coeff)
+            coeffs[exp] = coeffs[exp] + coeff if exp in coeffs else coeff
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        nums = {exp: c.numerator * (den // c.denominator) for exp, c in coeffs.items()}
+        self._store(nvars, den, nums)
+
+    def _store(self, nvars: int, den: int, nums: dict[Exponent, int]) -> "Poly":
+        """Set the canonical form of Σ nums[exp]/den x^exp; den is any nonzero int."""
+        nums = {exp: c for exp, c in nums.items() if c}
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            nums = {exp: c // g for exp, c in nums.items()}
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", {exp: c for exp, c in canon.items() if c})
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The coefficients as a map from exponents to reduced Fractions."""
+        t = self._terms
+        if t is None:
+            t = {exp: Fraction(c, self.den) for exp, c in self.nums.items()}
+            object.__setattr__(self, "_terms", t)
+        return t
 
     # -- constructors ------------------------------------------------------
 
@@ -86,46 +108,46 @@ class Poly:
     # -- basic predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return all(all(e == 0 for e in exp) for exp in self.nums)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values())), self.den)
 
     def total_degree(self) -> int:
         """Max total degree over all terms; 0 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(sum(exp) for exp in self.terms)
+        return max(sum(exp) for exp in self.nums)
 
     def degree_in(self, var: int) -> int:
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(exp[var] for exp in self.terms)
+        return max(exp[var] for exp in self.nums)
 
     # -- equality / hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self.terms.items())))
+            h = hash((self.nvars, self.den, frozenset(self.nums.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -140,15 +162,17 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            add_term(out, exp, coeff)
-        return from_sum(self.nvars, out)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {exp: c * sa for exp, c in self.nums.items()}
+        for exp, c in other.nums.items():
+            out[exp] = out.get(exp, 0) + c * sb
+        return reduced(self.nvars, den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _raw(self.nvars, {exp: -c for exp, c in self.terms.items()})
+        return reduced(self.nvars, self.den, {exp: -c for exp, c in self.nums.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -158,16 +182,16 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = as_scalar(other)
-            if not other:
-                return Poly(self.nvars)
-            return _raw(self.nvars, {exp: c * other for exp, c in self.terms.items()})
+            r = as_scalar(other)
+            nums = {exp: c * r.numerator for exp, c in self.nums.items()}
+            return reduced(self.nvars, self.den * r.denominator, nums)
         other = self._coerce(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                add_term(out, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
-        return from_sum(self.nvars, out)
+        out: dict[Exponent, int] = {}
+        for ea, ca in self.nums.items():
+            for eb, cb in other.nums.items():
+                key = tuple(i + j for i, j in zip(ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+        return reduced(self.nvars, self.den * other.den, out)
 
     __rmul__ = __mul__
 
@@ -200,26 +224,25 @@ class Poly:
             raise ValueError("order must be non-negative")
         if order == 0:
             return self
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for exp, c in self.nums.items():
             e = exp[var]
-            if e < order:
+            if 0 <= e < order:  # the falling factorial below is 0
                 continue
-            # falling factorial e*(e-1)*...*(e-order+1)
+            # falling factorial e*(e-1)*...*(e-order+1), nonzero for negative e
             fall = 1
             for i in range(order):
                 fall *= e - i
             new = list(exp)
             new[var] = e - order
-            out[tuple(new)] = coeff * fall
-        return _raw(self.nvars, out)
+            out[tuple(new)] = c * fall
+        return reduced(self.nvars, self.den, out)
 
     def laplacian(self, n: int) -> "Poly":
         """Sum of second partials in x1..xn and y (variables 0..n)."""
         if n + 1 > self.nvars:
             raise ValueError(f"spatial dimension {n} exceeds available variables")
-        D, nums = to_nums(self.terms)
-        return from_nums(self.nvars, D, second_partials(nums, n + 1))
+        return reduced(self.nvars, self.den, second_partials(self.nums, n + 1))
 
     # -- substitution / evaluation ----------------------------------------
 
@@ -237,39 +260,37 @@ class Poly:
         if value.is_constant():
             return self._subs_scalar(var, value.constant_value())
         # group terms by the exponent of var, then expand value^e once per group
-        groups: dict[int, dict[Exponent, Fraction]] = {}
-        for exp, coeff in self.terms.items():
+        groups: dict[int, dict[Exponent, int]] = {}
+        for exp, c in self.nums.items():
             e = exp[var]
             if e < 0:
                 raise ValueError("cannot substitute a non-constant into a negative power")
-            new = list(exp)
-            new[var] = 0
-            groups.setdefault(e, {})[tuple(new)] = coeff
+            groups.setdefault(e, {})[exp[:var] + (0,) + exp[var + 1:]] = c
         out_poly = Poly(self.nvars)
         power = Poly.const(self.nvars, 1)
         for e in range(max(groups, default=0) + 1):
             if e in groups:
-                out_poly = out_poly + _raw(self.nvars, groups[e]) * power
+                out_poly = out_poly + reduced(self.nvars, self.den, groups[e]) * power
             power = power * value
         return out_poly
 
     def _subs_scalar(self, var: int, r: Fraction) -> "Poly":
         """Substitute r = p/q: every term c*v^e becomes c*p^(e-lo)*q^(hi-e) over p^-lo*q^hi."""
-        exps = {exp[var] for exp in self.terms}
+        exps = {exp[var] for exp in self.nums}
         lo, hi = min(exps, default=0), max(exps, default=0)
         if not r:
             if lo < 0:
                 raise ZeroDivisionError("substituting 0 into a negative power")
-            return _raw(self.nvars, {exp: c for exp, c in self.terms.items() if not exp[var]})
+            kept = {exp: c for exp, c in self.nums.items() if not exp[var]}
+            return reduced(self.nvars, self.den, kept)
         lo, hi = min(lo, 0), max(hi, 0)
         p, q = r.numerator, r.denominator
         scale = {e: p ** (e - lo) * q ** (hi - e) for e in exps}
-        D, nums = to_nums(self.terms)
         out: dict[Exponent, int] = {}
-        for exp, c in nums.items():
+        for exp, c in self.nums.items():
             key = exp[:var] + (0,) + exp[var + 1:]
             out[key] = out.get(key, 0) + c * scale[exp[var]]
-        return from_nums(self.nvars, D * p ** -lo * q ** hi, out)
+        return reduced(self.nvars, self.den * p ** -lo * q ** hi, out)
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
@@ -324,15 +345,6 @@ class Poly:
         return f"Poly({self.nvars}, {dict(self.sorted_terms())!r})"
 
 
-def _raw(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
-    """Internal constructor for already-canonical term maps."""
-    p = object.__new__(Poly)
-    object.__setattr__(p, "nvars", nvars)
-    object.__setattr__(p, "terms", terms)
-    object.__setattr__(p, "_hash", None)
-    return p
-
-
 def as_scalar(value) -> Fraction:
     """An exact rational scalar as a Fraction; float, bool and other types are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -340,26 +352,9 @@ def as_scalar(value) -> Fraction:
     return Fraction(value)
 
 
-def add_term(terms: dict[Exponent, Fraction], exp: Exponent, coeff: Fraction) -> None:
-    """terms[exp] += coeff, without the slow int + Fraction on a new key."""
-    c = terms.get(exp)
-    terms[exp] = coeff if c is None else c + coeff
-
-
-def from_sum(nvars: int, terms: dict[Exponent, Fraction]) -> Poly:
-    """Poly from an accumulated term map that may still hold zero coefficients."""
-    return _raw(nvars, {exp: c for exp, c in terms.items() if c})
-
-
-def to_nums(terms: Mapping[Exponent, Fraction]) -> tuple[int, dict[Exponent, int]]:
-    """The kernel form (D, numerators) of a term map: coefficient = numerator / D."""
-    D = math.lcm(*{c.denominator for c in terms.values()})
-    return D, {exp: c.numerator * (D // c.denominator) for exp, c in terms.items()}
-
-
-def from_nums(nvars: int, D: int, nums: Mapping[Exponent, int]) -> Poly:
-    """Poly with coefficients num / D, dropping zero numerators."""
-    return _raw(nvars, {exp: Fraction(c, D) for exp, c in nums.items() if c})
+def reduced(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
+    """The Poly Σ nums[exp]/den x^exp in canonical form; den is any nonzero int."""
+    return object.__new__(Poly)._store(nvars, den, nums)
 
 
 def second_partials(nums: Mapping[Exponent, int], count: int) -> dict[Exponent, int]:
@@ -385,8 +380,8 @@ def lift(p: Poly, nvars: int, positions: Sequence[int | None]) -> Poly:
     """
     if len(positions) != p.nvars:
         raise ValueError("positions must list every old variable")
-    out: dict[Exponent, Fraction] = {}
-    for exp, coeff in p.terms.items():
+    out: dict[Exponent, int] = {}
+    for exp, c in p.nums.items():
         new = [0] * nvars
         for e, pos in zip(exp, positions):
             if pos is None:
@@ -394,8 +389,8 @@ def lift(p: Poly, nvars: int, positions: Sequence[int | None]) -> Poly:
                     raise ValueError("cannot drop a variable that occurs in a term")
             else:
                 new[pos] = e
-        out[tuple(new)] = coeff
-    return Poly(nvars, out)
+        out[tuple(new)] = c
+    return reduced(nvars, p.den, out)
 
 
 @dataclass(frozen=True)

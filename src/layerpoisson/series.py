@@ -24,15 +24,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Optional, Union
 
-from .polyring import Exponent, Poly, _raw, as_scalar, from_nums, second_partials, to_nums
+from .polyring import Exponent, Poly, as_scalar, reduced, second_partials
 
 Width = Optional[Fraction]  # None = keep a symbolic
 Coeff = Callable[[int], Fraction]  # s^i coefficient of a scalar series
 Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
-# j -> (y exponent m -> term map of the image of y^m under the j-th operator)
-Images = Callable[[int], Callable[[int], Mapping[Exponent, Fraction]]]
+Image = Callable[[int, int], Poly]  # (j, m) -> T_j y^m, a Poly in y (and possibly a)
 
 
 def width(a: Union[None, int, Fraction]) -> Width:
@@ -125,39 +124,37 @@ def member(j: int, a: Width, A: Coeff = _zero, B: Coeff = _zero, odd: bool = Fal
             unit[2 * i + 1] = cb * _sinhc(i)
     degree = 2 * j + odd
     if a is None:
-        return _raw(2, {(l, degree - l): c for l, c in unit.items()})
-    return _raw(1, {(l,): c * a ** (degree - l) for l, c in unit.items()})
+        return Poly(2, {(l, degree - l): c for l, c in unit.items()})
+    return Poly(1, {(l,): c * a ** (degree - l) for l, c in unit.items()})
 
 
-def apply_dx_series(g: Poly, n: int, images: Images, nvars: int) -> Poly:
+def apply_dx_series(g: Poly, n: int, image: Image, nvars: int) -> Poly:
     """The series Σ_j T_j Δ_x^j g, a Poly in ``nvars`` variables.
 
-    ``g`` lives in the ring x1..xn, y.  ``images(j)`` gives the map from a
-    y exponent m to the term map of T_j y^m, a polynomial in y (and
-    possibly a); each output key is the x exponent of a term of Δ_x^j g
-    followed by a key of that map.  The powers Δ_x^j g share the
-    denominator D of g, and the images used are put over their lcm L, so
-    the sum is accumulated in integers over D*L.
+    ``g`` lives in the ring x1..xn, y.  ``image(j, m)`` is T_j y^m; each
+    output key is the x exponent of a term of Δ_x^j g followed by an
+    exponent of that image.  The powers Δ_x^j g share the denominator of
+    g, and the images used are put over the lcm L of theirs, so the sum
+    is accumulated in integers over g.den*L.
     """
-    D, h = to_nums(g.terms)
-    powers = []  # (numerators of Δ_x^j g, images(j))
+    powers = []  # numerators of Δ_x^j g
+    h = g.nums
     while h:
-        powers.append((h, images(len(powers))))
+        powers.append(h)
         h = second_partials(h, n)
-    used = {(j, m): image(m) for j, (h, image) in enumerate(powers) for m in {e[n] for e in h}}
-    L = math.lcm(*{q.denominator for t in used.values() for q in t.values()})
+    used = {(j, m): image(j, m) for j, h in enumerate(powers) for m in {e[n] for e in h}}
+    L = math.lcm(*{t.den for t in used.values()})
     scaled = {
-        key: [(tail, q.numerator * (L // q.denominator)) for tail, q in t.items()]
-        for key, t in used.items()
+        key: [(tail, q * (L // t.den)) for tail, q in t.nums.items()] for key, t in used.items()
     }
     out: dict[Exponent, int] = {}
-    for j, (h, _) in enumerate(powers):
+    for j, h in enumerate(powers):
         for exp, c in h.items():
             x = exp[:n]
             for tail, q in scaled[j, exp[n]]:
                 key = x + tail
                 out[key] = out.get(key, 0) + c * q
-    return from_nums(nvars, D * L, out)
+    return reduced(nvars, g.den * L, out)
 
 
 def correction(family: Family, g: Poly, n: int, a: Width) -> Poly:
@@ -165,9 +162,5 @@ def correction(family: Family, g: Poly, n: int, a: Width) -> Poly:
 
     The result lives in x1..xn, y, followed by a when the width is symbolic.
     """
-
-    def images(j):
-        terms = family(j, a).terms
-        return lambda m: terms  # g is free of y, so m is always 0
-
-    return apply_dx_series(g, n, images, n + 1 + (a is None))
+    # g is free of y, so the image of y^m is only asked for m = 0
+    return apply_dx_series(g, n, lambda j, m: family(j, a), n + 1 + (a is None))

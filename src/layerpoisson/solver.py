@@ -18,7 +18,7 @@ from typing import Literal
 
 from . import dirichlet, mixed
 from .particular import inv_laplacian
-from .polyring import Poly, Ring, lift
+from .polyring import Poly, Ring, as_scalar, lift
 from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
@@ -134,7 +134,7 @@ def rectangle_trace(u: Poly, x_edges: tuple[Fraction, Fraction]) -> tuple[Poly, 
     ring = Ring(1)
     if u.nvars != ring.nvars:
         raise ValueError("rectangle traces are defined for n = 1 only")
-    b0, b1 = (Fraction(b) for b in x_edges)
+    b0, b1 = (as_scalar(b) for b in x_edges)
     return (
         lift(u.subs(0, b0), 1, (None, 0)),
         lift(u.subs(0, b1), 1, (None, 0)),

@@ -1,9 +1,11 @@
 """The integer-numerator kernels against plain ``Fraction`` references.
 
-The Laplacian, scalar substitution, the particular solution and the
-harmonic corrections run on integer numerators over one common
-denominator.  Each is checked here against a term-by-term ``Fraction``
-loop written in this file, on random polynomials.
+A ``Poly`` holds integer numerators over one common denominator, and
+every operation on it (sum, difference, scalar and polynomial product,
+derivative, the Laplacian, substitution, the particular solution and the
+harmonic corrections) computes on those integers.  Each is checked here
+against a term-by-term ``Fraction`` loop written in this file, on random
+polynomials.
 """
 
 import math
@@ -34,6 +36,47 @@ def term_maps(*slots):
 
 
 # -- plain Fraction references ---------------------------------------------
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for exp, c in q.items():
+        out[exp] = out.get(exp, Fraction(0)) + sign * c
+    return {exp: c for exp, c in out.items() if c}
+
+
+def ref_scale(terms, r):
+    return {exp: c * r for exp, c in terms.items() if c * r}
+
+
+def ref_mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {exp: c for exp, c in out.items() if c}
+
+
+def ref_diff(terms, var, order):
+    out = {}
+    for exp, c in terms.items():
+        e = exp[var]
+        fall = math.prod(e - i for i in range(order))
+        if fall:
+            out[exp[:var] + (e - order,) + exp[var + 1:]] = c * fall
+    return out
+
+
+def ref_subs_poly(terms, var, value, nvars):
+    out, one = {}, {(0,) * nvars: Fraction(1)}
+    for exp, c in terms.items():
+        power = one
+        for _ in range(exp[var]):
+            power = ref_mul(power, value)
+        rest = {exp[:var] + (0,) + exp[var + 1:]: c}
+        out = ref_add(out, ref_mul(rest, power))
+    return out
 
 
 def ref_second_partials(terms, count):
@@ -93,6 +136,48 @@ def test_laplacian_matches_fraction_reference(case):
 
 
 laurent_terms = term_maps(EXP, EXP, LAURENT)  # x1, y, a
+
+
+@given(laurent_terms, laurent_terms)
+@settings(max_examples=80, deadline=None)
+def test_sum_and_difference_match_reference(p_terms, q_terms):
+    p, q = Poly(3, p_terms), Poly(3, q_terms)
+    assert (p + q).terms == ref_add(p.terms, q.terms)
+    assert (p - q).terms == ref_add(p.terms, q.terms, -1)
+    assert (-p).terms == ref_scale(p.terms, -1)
+
+
+@given(laurent_terms, rationals)
+@settings(max_examples=80, deadline=None)
+def test_scalar_product_and_quotient_match_reference(terms, r):
+    p = Poly(3, terms)
+    assert (p * r).terms == ref_scale(p.terms, r)
+    assert (r * p).terms == ref_scale(p.terms, r)
+    if r:
+        assert (p / r).terms == ref_scale(p.terms, 1 / r)
+
+
+@given(laurent_terms, laurent_terms)
+@settings(max_examples=80, deadline=None)
+def test_polynomial_product_matches_reference(p_terms, q_terms):
+    p, q = Poly(3, p_terms), Poly(3, q_terms)
+    assert (p * q).terms == ref_mul(p.terms, q.terms)
+
+
+@given(laurent_terms, st.sampled_from([0, 1, 2]), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_diff_matches_reference(terms, var, order):
+    # var 2 is the Laurent slot: negative powers have nonzero derivatives of every order
+    p = Poly(3, terms)
+    assert p.diff(var, order).terms == ref_diff(p.terms, var, order)
+
+
+@given(term_maps(EXP, st.integers(0, 3), LAURENT), laurent_terms.filter(lambda t: len(t) <= 3),
+       st.sampled_from([0, 1]))
+@settings(max_examples=60, deadline=None)
+def test_subs_of_a_polynomial_matches_reference(terms, value_terms, var):
+    p, value = Poly(3, terms), Poly(3, value_terms)
+    assert p.subs(var, value).terms == ref_subs_poly(p.terms, var, value.terms, 3)
 
 
 @given(laurent_terms, st.sampled_from([0, 1]), st.one_of(st.just(Fraction(0)), rationals))

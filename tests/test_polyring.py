@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from layerpoisson.polyring import Poly, Ring, lift, to_latex, to_text
 from layerpoisson.parsing import parse_expr
 
-from conftest import P, XY, XYA
+from conftest import P, XY, XYA, YA
 
 
 def test_add_cancellation():
@@ -203,6 +203,36 @@ def test_inexact_evaluation_point_is_rejected(value):
         Poly.variable(2, 0).eval([value, 0])
     with pytest.raises(TypeError):
         Poly.variable(2, 0).eval([0, value])
+
+
+def test_diff_of_a_negative_power():
+    assert P("a^-1", YA).diff(1) == P("-a^-2", YA)
+    assert P("a^-1", YA).diff(1, 2) == P("2*a^-3", YA)
+    assert P("y*a^-2 + a", YA).diff(1) == P("-2*y*a^-3 + 1", YA)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_comparison_with_a_bool_is_false(flag):
+    p = Poly.const(2, 1)
+    assert not p == flag
+    assert p != flag
+
+
+def test_equal_term_maps_give_equal_polys_and_hashes():
+    # however a polynomial was built, its stored form is the canonical one
+    half_x = Poly(1, {(1,): Fraction(1, 2)})
+    assert half_x.terms == {(1,): Fraction(1, 2)}
+    cases = [
+        (half_x * 2, Poly(1, {(1,): 1})),
+        (P("1/6*x1 + 1/3*y") - P("1/3*y + 1/6*x1"), Poly(2)),
+    ]
+    A, B = P("3/4*x1^2 - 5/6*y"), P("1/10*x1*y + 7/15*y - 2")
+    cases += [((A + B) - B, A), ((A * 6) / 6, A)]
+    for p, q in cases:
+        assert p.terms == q.terms
+        assert p == q
+        assert hash(p) == hash(q)
+        assert (p.nvars, p.den, p.nums) == (q.nvars, q.den, q.nums)
 
 
 def test_lift_and_drop():

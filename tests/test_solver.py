@@ -105,6 +105,12 @@ def test_rectangle_trace():
     assert s1 == P("2*y", ("y",))
 
 
+@pytest.mark.parametrize("edges", [(0.1, 1), (0, 0.5), (True, 1), (0, False)])
+def test_rectangle_trace_rejects_inexact_edges(edges):
+    with pytest.raises(TypeError):
+        rectangle_trace(P("x1^2 - y^2"), edges)
+
+
 def test_problem_invariants():
     with pytest.raises(ValueError):
         LayerProblem(n=1, a=Fraction(0), rhs=Poly.zero(2), kind="dirichlet",
