@@ -1,9 +1,9 @@
 """Command-line front end: solve, verify, tables, numcheck.
 
 Output formats: plain canonical text, LaTeX, or JSON (set per-invocation
-with --output or by default through LAYERPOISSON_OUTPUT).  The exit status
-is 0 only when the requested computation succeeds and, for solve/verify,
-the solution is certified exact; every input error exits 2.
+with --output or by default through LAYERPOISSON_OUTPUT).  Exit status: 0
+on success (for solve/verify, a solution certified exact), 1 when the
+solution is not certified, 2 for any input error, 3 for an internal fault.
 """
 
 from __future__ import annotations
@@ -223,6 +223,9 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -120,11 +120,11 @@ class _Parser:
             if e >= 0:
                 return p ** e
             # Laurent power: only single monomials can carry a negative exponent
-            if len(p.terms) != 1:
+            if len(p.nums) != 1:
                 raise PolyParseError("negative exponent requires a single monomial base", at)
-            (exp, coeff), = p.terms.items()
+            (exp, num), = p.nums.items()
             return Poly.monomial(
-                self.nvars, tuple(v * e for v in exp), Fraction(coeff) ** e
+                self.nvars, tuple(v * e for v in exp), Fraction(num, p.den) ** e
             )
         return p
 

@@ -5,10 +5,12 @@ denominator ``den`` and a map ``nums`` from exponent tuples to nonzero
 ``int`` numerators, with ``gcd(den, *nums) == 1``; the coefficient of
 x^exp is nums[exp]/den.  Every operation computes in ``int`` and returns
 through ``reduced``, which drops zero numerators and divides out the gcd,
-so equality of polynomials is equality of (nvars, den, nums).  The map
-``terms`` of reduced ``Fraction`` coefficients is a view built from that
-form when first read.  All values are immutable and every operation is a
-pure function; instances can be shared freely between threads.
+so equality of polynomials is equality of (nvars, den, nums).  Every
+reader in this package, the renderers, JSON and evaluation included, reads
+``den``/``nums``; ``terms``, a map of reduced ``Fraction`` coefficients, is
+a view rebuilt on each read for callers outside it.  All values are
+immutable and every operation is a pure function; instances can be shared
+freely between threads.
 
 Variable convention used throughout the package: the first ``n`` slots are
 the spatial variables x1..xn, the next slot is the vertical variable y,
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -38,7 +40,7 @@ Scalar = Union[int, Fraction]
 class Poly:
     """Immutable sparse polynomial in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "den", "nums", "_terms", "_hash")
+    __slots__ = ("nvars", "den", "nums", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | Iterable = ()):
         if nvars < 0:
@@ -67,7 +69,6 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_terms", None)
         object.__setattr__(self, "_hash", None)
         return self
 
@@ -76,12 +77,8 @@ class Poly:
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        """The coefficients as a map from exponents to reduced Fractions."""
-        t = self._terms
-        if t is None:
-            t = {exp: Fraction(c, self.den) for exp, c in self.nums.items()}
-            object.__setattr__(self, "_terms", t)
-        return t
+        """The coefficients as a map from exponents to reduced Fractions, built on each read."""
+        return {exp: Fraction(c, self.den) for exp, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -138,8 +135,6 @@ class Poly:
     # -- equality / hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
@@ -297,22 +292,21 @@ class Poly:
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         pt = [as_scalar(v) for v in point]
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            val = coeff
+        total = 0
+        for exp, c in self.nums.items():
             for v, e in zip(pt, exp):
                 if e:
-                    val *= v ** e
-            total += val
-        return total
+                    c *= v ** e
+            total += c
+        return Fraction(total, self.den)
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Floating-point value, for the numeric cross-check module only."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         total = 0.0
-        for exp, coeff in self.terms.items():
-            val = float(coeff)
+        for exp, c in self.nums.items():
+            val = c / self.den  # int / int is correctly rounded, as float(Fraction) is
             for v, e in zip(point, exp):
                 if e:
                     val *= float(v) ** e
@@ -321,16 +315,19 @@ class Poly:
 
     # -- canonical ordering / serialization --------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in canonical order: graded lexicographic, highest first."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    def _ordered(self) -> Iterator[tuple[Exponent, int, int]]:
+        """(exp, num, den) per term in canonical order, graded lexicographic,
+        highest first; num/den is the coefficient in lowest terms."""
+        for exp in sorted(self.nums, key=lambda e: (sum(e), e), reverse=True):
+            g = math.gcd(self.nums[exp], self.den)
+            yield exp, self.nums[exp] // g, self.den // g
 
     def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,
             "terms": [
-                {"exp": list(exp), "coeff": str(coeff)}
-                for exp, coeff in self.sorted_terms()
+                {"exp": list(exp), "coeff": f"{num}/{den}" if den != 1 else str(num)}
+                for exp, num, den in self._ordered()
             ],
         }
 
@@ -342,7 +339,8 @@ class Poly:
         )
 
     def __repr__(self) -> str:
-        return f"Poly({self.nvars}, {dict(self.sorted_terms())!r})"
+        terms = {exp: Fraction(num, den) for exp, num, den in self._ordered()}
+        return f"Poly({self.nvars}, {terms!r})"
 
 
 def as_scalar(value) -> Fraction:
@@ -460,33 +458,31 @@ def _render(p: Poly, names: Sequence[str], latex: bool) -> str:
     """Terms in canonical order, signs between them, unit coefficients left out."""
     if len(names) != p.nvars:
         raise ValueError("one name per variable required")
-    if not p.terms:
+    if not p.nums:
         return "0"
+    times, power, ratio = "*", "{}^{}", "{}/{}"
     if latex:
         names = [_latex_name(name) for name in names]
-    times, power = ("", "{}^{{{}}}") if latex else ("*", "{}^{}")
+        times, power, ratio = "", "{}^{{{}}}", "\\frac{{{}}}{{{}}}"
     pieces: list[str] = []
-    for i, (exp, coeff) in enumerate(p.sorted_terms()):
+    for i, (exp, num, den) in enumerate(p._ordered()):
         mono = times.join(
             name if e == 1 else power.format(name, e)
             for name, e in zip(names, exp)
             if e != 0
         )
-        mag = abs(coeff)
-        if latex and mag.denominator != 1:
-            number = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        else:
-            number = str(mag)
+        mag = abs(num)
+        number = ratio.format(mag, den) if den != 1 else str(mag)
         if not mono:
             body = number
-        elif mag == 1:
+        elif mag == den == 1:
             body = mono
         else:
             body = f"{number}{times}{mono}"
         if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if num < 0 else body)
         else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
     return " ".join(pieces)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from layerpoisson import cli
 from layerpoisson.cli import main
 
 from conftest import P
@@ -208,3 +209,15 @@ def test_zero_denominator_width_names_the_width(make_argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: width: zero denominator in '1/0'\n"
+
+
+def test_internal_fault_is_one_line_with_exit_3(monkeypatch, capsys):
+    # exit 1 means "not certified" and 2 a bad input, so a fault of the program has its own code
+    def broken_solve(problem):
+        raise AssertionError("residual is not zero")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    assert main(EXAMPLE_1_ARGS) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: residual is not zero\n"

@@ -3,11 +3,13 @@
 A ``Poly`` holds integer numerators over one common denominator, and
 every operation on it (sum, difference, scalar and polynomial product,
 derivative, the Laplacian, substitution, the particular solution and the
-harmonic corrections) computes on those integers.  Each is checked here
-against a term-by-term ``Fraction`` loop written in this file, on random
-polynomials.
+harmonic corrections) computes on those integers, as do its readers (text
+and LaTeX rendering, JSON, exact and float evaluation).  Each is checked
+here against a term-by-term ``Fraction`` loop written in this file, on
+random polynomials.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerpoisson import dirichlet, mixed
+from layerpoisson.parsing import parse_expr
 from layerpoisson.particular import inv_laplacian
-from layerpoisson.polyring import Poly
+from layerpoisson.polyring import Poly, to_latex, to_text
 from layerpoisson.series import correction
 
 FAMILIES = {"c": dirichlet._c, "c_flip": dirichlet._c_flip, "d": mixed._d, "e": mixed._e}
@@ -96,6 +99,68 @@ def ref_subs(terms, var, r):
         key = exp[:var] + (0,) + exp[var + 1:]
         out[key] = out.get(key, Fraction(0)) + c * r ** exp[var]
     return {exp: c for exp, c in out.items() if c}
+
+
+def ref_sorted(terms):
+    """Terms in canonical order: graded lexicographic, highest first."""
+    return sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def ref_render(terms, names, latex):
+    """The renderer as it was when it formatted reduced ``Fraction`` coefficients."""
+    if not terms:
+        return "0"
+    times, power = ("", "{}^{{{}}}") if latex else ("*", "{}^{}")
+    pieces = []
+    for i, (exp, coeff) in enumerate(ref_sorted(terms)):
+        mono = times.join(
+            name if e == 1 else power.format(name, e)
+            for name, e in zip(names, exp)
+            if e != 0
+        )
+        mag = abs(coeff)
+        if latex and mag.denominator != 1:
+            number = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            number = str(mag)
+        if not mono:
+            body = number
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{number}{times}{mono}"
+        if i == 0:
+            pieces.append(f"-{body}" if coeff < 0 else body)
+        else:
+            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
+def ref_json(terms, nvars):
+    return {
+        "nvars": nvars,
+        "terms": [{"exp": list(exp), "coeff": str(c)} for exp, c in ref_sorted(terms)],
+    }
+
+
+def ref_eval(terms, point):
+    total = Fraction(0)
+    for exp, c in terms.items():
+        for v, e in zip(point, exp):
+            c *= Fraction(v) ** e
+        total += c
+    return total
+
+
+def ref_eval_float(terms, point):
+    total = 0.0
+    for exp, c in terms.items():
+        val = float(c)
+        for v, e in zip(point, exp):
+            if e:
+                val *= float(v) ** e
+        total += val
+    return total
 
 
 def ref_series(terms, n, image):
@@ -223,3 +288,39 @@ def test_correction_matches_fraction_reference(name, case, a):
     family = FAMILIES[name]
     g = Poly(n + 1, terms)
     assert correction(family, g, n, a).terms == ref_correction(family, g.terms, n, a)
+
+
+# -- the readers against them -----------------------------------------------
+
+XYA = ("x1", "y", "a")
+LATEX_XYA = ("x_{1}", "y", "a")
+wide = st.one_of(
+    rationals,
+    st.integers(-10**40, 10**40),
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**25),
+)
+wide_polys = st.dictionaries(st.tuples(EXP, EXP, LAURENT), wide, max_size=8).map(lambda t: Poly(3, t))
+
+
+@given(wide_polys)
+@settings(max_examples=150, deadline=None)
+def test_text_and_json_round_trip(p):
+    assert parse_expr(to_text(p, XYA), XYA, allow_negative_exponents=True) == p
+    assert Poly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
+
+
+@given(wide_polys)
+@settings(max_examples=150, deadline=None)
+def test_renderers_and_json_match_fraction_reference(p):
+    assert to_text(p, XYA) == ref_render(p.terms, XYA, latex=False)
+    assert to_latex(p, XYA) == ref_render(p.terms, LATEX_XYA, latex=True)
+    assert p.to_json_dict() == ref_json(p.terms, 3)
+    assert repr(p) == f"Poly(3, {dict(ref_sorted(p.terms))!r})"
+
+
+@given(wide_polys, rationals, rationals, nonzero)
+@settings(max_examples=150, deadline=None)
+def test_eval_and_eval_float_match_fraction_reference(p, x, y, a):
+    assert p.eval((x, y, a)) == ref_eval(p.terms, (x, y, a))
+    point = (float(x), float(y), float(a))
+    assert p.eval_float(point) == ref_eval_float(p.terms, point)

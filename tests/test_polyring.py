@@ -235,6 +235,33 @@ def test_equal_term_maps_give_equal_polys_and_hashes():
         assert (p.nvars, p.den, p.nums) == (q.nvars, q.den, q.nums)
 
 
+def test_a_constant_poly_is_not_equal_to_a_scalar():
+    # equality is equality of (nvars, den, nums), so it agrees with the hash
+    one = Poly.const(2, 1)
+    assert one != 1
+    assert 1 != one
+    assert not one == 1
+    assert Poly(2) != 0
+    assert 1 not in {one}
+
+
+def test_equal_polys_built_different_ways_hash_alike():
+    target = Poly(2, {(1, 1): 1, (0, 0): Fraction(1, 2)})
+    ways = [
+        P("x1*y + 1/2"),
+        (P("2*x1*y") + 1) / 2,
+        P("x1 + 1/2") * P("y") + P("1/2 - 1/2*y"),
+        Poly(2, [((1, 1), Fraction(2, 3)), ((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 3))]),
+        Poly.from_json_dict(target.to_json_dict()),
+        lift(P("x1*y*a^2 + 1/2", XYA).subs(2, 1), 2, (0, 1, None)),
+    ]
+    for p in ways:
+        assert p == target
+        assert hash(p) == hash(target)
+        assert p in {target}
+    assert len(set(ways)) == 1
+
+
 def test_lift_and_drop():
     p = P("y^3 - y*a^2", ("y", "a"))
     lifted = lift(p, 3, (1, 2))
