@@ -4,15 +4,22 @@ Grammar: ``+ - * ^``, parentheses, integer and rational literals such as
 ``3`` or ``1/2520``, and variable names.  Multiplication is always explicit
 (``8*x^4``, never ``8x^4``) and floating-point literals are rejected, so
 every accepted expression denotes an exact polynomial.
+
+The parser builds the stored form of ``polyring`` directly: a number or a
+variable is one numerator over one denominator, and the terms of a sum are
+accumulated once, by ``poly_sum``.  A single monomial takes any integer
+power in one step; a negative exponent is allowed only on a single monomial,
+and only when the caller asks for it.  In ``parse_poly`` with n = 1, ``x``
+is an alias of ``x1``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .polyring import Poly
+from .polyring import Poly, poly_sum, reduced
 
 
 class PolyParseError(ValueError):
@@ -26,7 +33,7 @@ class PolyParseError(ValueError):
 _TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -39,7 +46,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if m.group(1):
             raise PolyParseError("floating-point literals are not accepted", pos)
         if m.group(2):
-            tokens.append(("int", m.group(2), pos))
+            try:
+                tokens.append(("int", int(m.group(2)), pos))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise PolyParseError("integer literal too long", pos) from None
         elif m.group(3):
             tokens.append(("name", m.group(3), pos))
         else:
@@ -49,10 +59,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, names: Sequence[str], allow_negative_exponents: bool):
+    def __init__(self, text: str, slots: Mapping[str, int], nvars: int,
+                 allow_negative_exponents: bool):
         self.text = text
-        self.names = {name: i for i, name in enumerate(names)}
-        self.nvars = len(names)
+        # each name's exponent vector, and the exponent vector of a number
+        self.names = {name: tuple(int(j == i) for j in range(nvars)) for name, i in slots.items()}
+        self.const_exp = (0,) * nvars
+        self.nvars = nvars
         self.allow_negative_exponents = allow_negative_exponents
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -65,113 +78,89 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value, at = self.take()
-        if kind != "op" or value != op:
-            raise PolyParseError(f"expected {op!r}", at)
+    def accept(self, ops: str):
+        """If the next token is one of the operators in ops, take it and return it; else None."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return None
 
     def parse(self) -> Poly:
         p = self.expr()
-        kind, value, at = self.peek()
+        kind, _, at = self.peek()
         if kind is not None:
-            raise PolyParseError(f"unexpected {value!r}", at)
+            raise PolyParseError(f"unexpected {_TOKEN_RE.match(self.text, at).group()!r}", at)
         return p
 
     def expr(self) -> Poly:
-        p = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                q = self.term()
-                p = p + q if value == "+" else p - q
-            else:
-                return p
+        terms = [self.term()]
+        while op := self.accept("+-"):
+            terms.append(self.term() if op == "+" else -self.term())
+        return poly_sum(self.nvars, terms)
 
     def term(self) -> Poly:
         p = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                p = p * self.unary()
-            else:
-                return p
+        while self.accept("*"):
+            p = p * self.unary()
+        return p
 
     def unary(self) -> Poly:
         sign = 1
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                if value == "-":
-                    sign = -sign
-            else:
-                break
+        while op := self.accept("+-"):
+            if op == "-":
+                sign = -sign
         p = self.power()
         return p if sign == 1 else -p
 
     def power(self) -> Poly:
         p = self.atom()
-        kind, value, at = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            e = self.exponent()
-            if e >= 0:
-                return p ** e
-            # Laurent power: only single monomials can carry a negative exponent
-            if len(p.nums) != 1:
-                raise PolyParseError("negative exponent requires a single monomial base", at)
+        at = self.peek()[2]
+        if not self.accept("^"):
+            return p
+        e = self.exponent()
+        if len(p.nums) == 1:
             (exp, num), = p.nums.items()
-            return Poly.monomial(
-                self.nvars, tuple(v * e for v in exp), Fraction(num, p.den) ** e
-            )
-        return p
+            c = Fraction(num, p.den) ** e
+            return reduced(self.nvars, c.denominator, {tuple(v * e for v in exp): c.numerator})
+        if e < 0:
+            raise PolyParseError("negative exponent requires a single monomial base", at)
+        return p ** e
 
     def exponent(self) -> int:
-        negative = False
+        sign = -1 if self.allow_negative_exponents and self.accept("-") else 1
         kind, value, at = self.take()
-        if kind == "op" and value == "-" and self.allow_negative_exponents:
-            negative = True
-            kind, value, at = self.take()
         if kind != "int":
             raise PolyParseError("exponent must be a non-negative integer literal", at)
-        e = int(value)
-        if negative:
-            # only the Laurent width slot carries negative powers; the caller
-            # enforces which variable this lands on
-            return -e
-        return e
+        return sign * value
 
     def atom(self) -> Poly:
         kind, value, at = self.take()
         if kind == "int":
-            num = int(value)
-            k, v, _ = self.peek()
-            if k == "op" and v == "/":
-                self.take()
-                k2, v2, at2 = self.take()
-                if k2 != "int":
-                    raise PolyParseError("expected integer denominator", at2)
-                den = int(v2)
+            den = 1
+            if self.accept("/"):
+                kind, den, at = self.take()
+                if kind != "int":
+                    raise PolyParseError("expected integer denominator", at)
                 if den == 0:
-                    raise PolyParseError("zero denominator", at2)
-                return Poly.const(self.nvars, Fraction(num, den))
-            return Poly.const(self.nvars, num)
+                    raise PolyParseError("zero denominator", at)
+            return reduced(self.nvars, den, {self.const_exp: value})
         if kind == "name":
             if value not in self.names:
                 raise PolyParseError(f"unknown variable {value!r}", at)
-            return Poly.variable(self.nvars, self.names[value])
+            return reduced(self.nvars, 1, {self.names[value]: 1})
         if kind == "op" and value == "(":
             p = self.expr()
-            self.expect_op(")")
+            if not self.accept(")"):
+                raise PolyParseError("expected ')'", self.peek()[2])
             return p
         raise PolyParseError("expected a number, variable, or parenthesized expression", at)
 
 
 def parse_expr(text: str, names: Sequence[str], allow_negative_exponents: bool = False) -> Poly:
     """Parse an expression over the given variable names into a Poly."""
-    return _Parser(text, names, allow_negative_exponents).parse()
+    slots = {name: i for i, name in enumerate(names)}
+    return _Parser(text, slots, len(names), allow_negative_exponents).parse()
 
 
 def parse_poly(expr: str, n: int) -> Poly:
@@ -181,8 +170,8 @@ def parse_poly(expr: str, n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("spatial dimension must be at least 1")
-    names = [f"x{i + 1}" for i in range(n)] + ["y"]
+    slots = {f"x{i + 1}": i for i in range(n)}
+    slots["y"] = n
     if n == 1:
-        # accept "x" as an alias for "x1"
-        expr = re.sub(r"\bx\b", "x1", expr)
-    return parse_expr(expr, names)
+        slots["x"] = 0
+    return _Parser(expr, slots, n + 1, False).parse()

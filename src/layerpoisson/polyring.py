@@ -156,13 +156,7 @@ class Poly:
         return Poly.const(self.nvars, as_scalar(other))
 
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        out = {exp: c * sa for exp, c in self.nums.items()}
-        for exp, c in other.nums.items():
-            out[exp] = out.get(exp, 0) + c * sb
-        return reduced(self.nvars, den, out)
+        return poly_sum(self.nvars, (self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -254,20 +248,18 @@ class Poly:
         value = self._coerce(value)
         if value.is_constant():
             return self._subs_scalar(var, value.constant_value())
-        # group terms by the exponent of var, then expand value^e once per group
+        # group terms by the exponent of var, multiply each group by value^e, and sum once
         groups: dict[int, dict[Exponent, int]] = {}
         for exp, c in self.nums.items():
             e = exp[var]
             if e < 0:
                 raise ValueError("cannot substitute a non-constant into a negative power")
             groups.setdefault(e, {})[exp[:var] + (0,) + exp[var + 1:]] = c
-        out_poly = Poly(self.nvars)
-        power = Poly.const(self.nvars, 1)
-        for e in range(max(groups, default=0) + 1):
-            if e in groups:
-                out_poly = out_poly + reduced(self.nvars, self.den, groups[e]) * power
-            power = power * value
-        return out_poly
+        powers = [Poly.const(self.nvars, 1)]
+        for _ in range(max(groups, default=0)):
+            powers.append(powers[-1] * value)
+        parts = [reduced(self.nvars, self.den, g) * powers[e] for e, g in groups.items()]
+        return poly_sum(self.nvars, parts)
 
     def _subs_scalar(self, var: int, r: Fraction) -> "Poly":
         """Substitute r = p/q: every term c*v^e becomes c*p^(e-lo)*q^(hi-e) over p^-lo*q^hi."""
@@ -353,6 +345,17 @@ def as_scalar(value) -> Fraction:
 def reduced(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
     """The Poly Σ nums[exp]/den x^exp in canonical form; den is any nonzero int."""
     return object.__new__(Poly)._store(nvars, den, nums)
+
+
+def poly_sum(nvars: int, polys: Sequence[Poly]) -> Poly:
+    """The sum of polys, accumulated once over the lcm of their denominators."""
+    den = math.lcm(*(p.den for p in polys))
+    out: dict[Exponent, int] = {}
+    for p in polys:
+        scale = den // p.den
+        for exp, c in p.nums.items():
+            out[exp] = out.get(exp, 0) + c * scale
+    return reduced(nvars, den, out)
 
 
 def second_partials(nums: Mapping[Exponent, int], count: int) -> dict[Exponent, int]:

@@ -221,3 +221,12 @@ def test_internal_fault_is_one_line_with_exit_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: AssertionError: residual is not zero\n"
+
+
+def test_overlong_integer_literal_is_one_line_usage_error(capsys):
+    args = list(EXAMPLE_1_ARGS)
+    args[args.index("--rhs") + 1] = "9" * 5000
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse rhs: integer literal too long (at position 0)\n"

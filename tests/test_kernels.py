@@ -6,18 +6,21 @@ derivative, the Laplacian, substitution, the particular solution and the
 harmonic corrections) computes on those integers, as do its readers (text
 and LaTeX rendering, JSON, exact and float evaluation).  Each is checked
 here against a term-by-term ``Fraction`` loop written in this file, on
-random polynomials.
+random polynomials.  The parser, which builds that form directly, is
+checked against the parser as it was when it built a ``Poly`` per atom, on
+random expressions.
 """
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerpoisson import dirichlet, mixed
-from layerpoisson.parsing import parse_expr
+from layerpoisson.parsing import PolyParseError, parse_expr
 from layerpoisson.particular import inv_laplacian
 from layerpoisson.polyring import Poly, to_latex, to_text
 from layerpoisson.series import correction
@@ -324,3 +327,218 @@ def test_eval_and_eval_float_match_fraction_reference(p, x, y, a):
     assert p.eval((x, y, a)) == ref_eval(p.terms, (x, y, a))
     point = (float(x), float(y), float(a))
     assert p.eval_float(point) == ref_eval_float(p.terms, point)
+
+
+
+# -- the parser against the one that built a Poly per atom ------------------
+
+_REF_TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])")
+
+
+def ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m:
+            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.group(1):
+            raise PolyParseError("floating-point literals are not accepted", pos)
+        if m.group(2):
+            tokens.append(("int", m.group(2), pos))
+        elif m.group(3):
+            tokens.append(("name", m.group(3), pos))
+        else:
+            tokens.append(("op", m.group(4), pos))
+        pos = m.end()
+    return tokens
+
+
+class RefParser:
+    """Recursive descent that builds a Poly per atom and adds terms pairwise."""
+
+    def __init__(self, text, names, allow_negative_exponents):
+        self.text = text
+        self.names = {name: i for i, name in enumerate(names)}
+        self.nvars = len(names)
+        self.allow_negative_exponents = allow_negative_exponents
+        self.tokens = ref_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, value, at = self.take()
+        if kind != "op" or value != op:
+            raise PolyParseError(f"expected {op!r}", at)
+
+    def parse(self):
+        p = self.expr()
+        kind, value, at = self.peek()
+        if kind is not None:
+            raise PolyParseError(f"unexpected {value!r}", at)
+        return p
+
+    def expr(self):
+        p = self.term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.take()
+                q = self.term()
+                p = p + q if value == "+" else p - q
+            else:
+                return p
+
+    def term(self):
+        p = self.unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "*":
+                self.take()
+                p = p * self.unary()
+            else:
+                return p
+
+    def unary(self):
+        sign = 1
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.take()
+                if value == "-":
+                    sign = -sign
+            else:
+                break
+        p = self.power()
+        return p if sign == 1 else -p
+
+    def power(self):
+        p = self.atom()
+        kind, value, at = self.peek()
+        if kind == "op" and value == "^":
+            self.take()
+            e = self.exponent()
+            if e >= 0:
+                return p ** e
+            if len(p.nums) != 1:
+                raise PolyParseError("negative exponent requires a single monomial base", at)
+            (exp, num), = p.nums.items()
+            return Poly.monomial(
+                self.nvars, tuple(v * e for v in exp), Fraction(num, p.den) ** e
+            )
+        return p
+
+    def exponent(self):
+        negative = False
+        kind, value, at = self.take()
+        if kind == "op" and value == "-" and self.allow_negative_exponents:
+            negative = True
+            kind, value, at = self.take()
+        if kind != "int":
+            raise PolyParseError("exponent must be a non-negative integer literal", at)
+        e = int(value)
+        if negative:
+            return -e
+        return e
+
+    def atom(self):
+        kind, value, at = self.take()
+        if kind == "int":
+            num = int(value)
+            k, v, _ = self.peek()
+            if k == "op" and v == "/":
+                self.take()
+                k2, v2, at2 = self.take()
+                if k2 != "int":
+                    raise PolyParseError("expected integer denominator", at2)
+                den = int(v2)
+                if den == 0:
+                    raise PolyParseError("zero denominator", at2)
+                return Poly.const(self.nvars, Fraction(num, den))
+            return Poly.const(self.nvars, num)
+        if kind == "name":
+            if value not in self.names:
+                raise PolyParseError(f"unknown variable {value!r}", at)
+            return Poly.variable(self.nvars, self.names[value])
+        if kind == "op" and value == "(":
+            p = self.expr()
+            self.expect_op(")")
+            return p
+        raise PolyParseError("expected a number, variable, or parenthesized expression", at)
+
+
+def parsed(parser, text, allow):
+    """The Poly that parser makes of text, or the message and position of its error."""
+    try:
+        return parser(text, XYA, allow)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+
+
+def ref_parse_expr(text, names, allow_negative_exponents):
+    return RefParser(text, names, allow_negative_exponents).parse()
+
+
+def _joined(parts, ops):
+    """Token lists parts[i] joined by the operator tokens ops[i - 1]."""
+    return [tok for i, part in enumerate(parts) for tok in ([ops[i - 1]] if i else []) + part]
+
+
+def _power(base, e):
+    return base + ["^"] + (["-", str(-e)] if e < 0 else [str(e)])
+
+
+integer_literals = st.integers(0, 12).map(lambda k: [str(k)])
+rational_literals = st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda t: [str(t[0]), "/", str(t[1])])
+variables = st.sampled_from(XYA).map(lambda name: [name])
+positive = st.tuples(st.integers(1, 12), st.integers(1, 9)).map(lambda t: [str(t[0]), "/", str(t[1])])
+# a single monomial takes any integer power: "a^-2", "2/3^-1", "y^0"
+monomial_powers = st.tuples(st.one_of(variables, positive), st.integers(-2, 3)).map(lambda t: _power(*t))
+atoms = st.one_of(integer_literals, rational_literals, variables, monomial_powers)
+
+
+def _compound(inner, group_exponents):
+    group = inner.map(lambda toks: ["(", *toks, ")"])
+    factor = st.one_of(atoms, group, st.tuples(group, group_exponents).map(lambda t: _power(*t)))
+    signed = st.tuples(st.lists(st.sampled_from("+-"), max_size=2), factor).map(lambda t: t[0] + t[1])
+    product = st.lists(signed, min_size=1, max_size=3).map(lambda fs: _joined(fs, ["*"] * len(fs)))
+    return st.lists(product, min_size=1, max_size=3).flatmap(
+        lambda ps: st.lists(st.sampled_from("+-"), min_size=len(ps), max_size=len(ps)).map(
+            lambda ops: _joined(ps, ops)))
+
+
+# well-formed expressions, and ones that may also raise a group to a negative power
+expressions = st.recursive(atoms, lambda inner: _compound(inner, st.integers(0, 2)), max_leaves=8)
+any_expressions = st.recursive(atoms, lambda inner: _compound(inner, st.integers(-1, 2)), max_leaves=8)
+separators = st.sampled_from(["", " "])
+
+
+@given(expressions, separators)
+@settings(max_examples=200, deadline=None)
+def test_parser_matches_reference(tokens, sep):
+    text = sep.join(tokens)
+    got = parsed(parse_expr, text, True)
+    assert isinstance(got, Poly), got
+    assert got == parsed(ref_parse_expr, text, True)
+    # without negative exponents, both refuse the same "-" or take the same string
+    assert parsed(parse_expr, text, False) == parsed(ref_parse_expr, text, False)
+
+
+@given(any_expressions, separators, st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parser_errors_match_reference(tokens, sep, allow, data):
+    # one token dropped or duplicated; the result, or the error and its position, must agree
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    copies = data.draw(st.sampled_from([0, 2]))
+    text = sep.join(tokens[:i] + tokens[i:i + 1] * copies + tokens[i + 1:])
+    assert parsed(parse_expr, text, allow) == parsed(ref_parse_expr, text, allow)

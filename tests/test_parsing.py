@@ -62,3 +62,17 @@ def test_exponent_must_be_integer_literal():
         parse_poly("x1^y", 1)
     with pytest.raises(PolyParseError):
         parse_poly("x1^(2)", 1)
+
+
+def test_error_position_after_the_x_alias():
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("x + * y", 1)
+    assert exc.value.position == 4
+
+
+@pytest.mark.parametrize("text, position", [("x1 + " + "9" * 5000, 5), ("x1^" + "9" * 5000, 3)],
+                         ids=["term", "exponent"])
+def test_overlong_integer_literal_is_a_parse_error(text, position):
+    with pytest.raises(PolyParseError, match="integer literal too long") as exc:
+        parse_poly(text, 1)
+    assert exc.value.position == position
