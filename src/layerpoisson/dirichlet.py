@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .polyring import Poly
-from .series import Width, boundary_data, correction, member, one, quotient, width
+from .series import Width, boundary_data, correction, member, negated, one, quotient, width
 
 AMode = Union[None, int, Fraction]  # None = keep a symbolic
 
@@ -42,7 +42,7 @@ def _c(j: int, a: Width) -> Poly:
 def _c_flip(j: int, a: Width) -> Poly:
     """s_j of sinh(t(a-y))/sinh(ta): value x^k at y=0, 0 at y=a."""
     # sinh(t(1-y)) = sinh(t) cosh(ty) - cosh(t) sinh(ty)
-    return member(j, a, A=one, B=lambda i: -quotient("t coth t", i))
+    return member(j, a, A=one, B=lambda i: negated(quotient("t coth t", i)))
 
 
 def c_coeffs(M: int, a: AMode = None) -> list[Poly]:

@@ -10,7 +10,8 @@ variable is one numerator over one denominator, and the terms of a sum are
 accumulated once, by ``poly_sum``.  A single monomial takes any integer
 power in one step; a negative exponent is allowed only on a single monomial,
 and only when the caller asks for it.  In ``parse_poly`` with n = 1, ``x``
-is an alias of ``x1``.
+is an alias of ``x1``.  Parentheses nest at most ``MAX_NESTING`` deep; a
+deeper group is a ``PolyParseError`` at its opening parenthesis.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ class PolyParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+# parentheses recurse through expr .. atom, so their depth is bounded well
+# below what the interpreter's default recursion limit allows
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])")
 
@@ -69,6 +74,7 @@ class _Parser:
         self.allow_negative_exponents = allow_negative_exponents
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -150,7 +156,11 @@ class _Parser:
                 raise PolyParseError(f"unknown variable {value!r}", at)
             return reduced(self.nvars, 1, {self.names[value]: 1})
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise PolyParseError("expression nested too deeply", at)
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             if not self.accept(")"):
                 raise PolyParseError("expected ')'", self.peek()[2])
             return p

@@ -17,6 +17,14 @@ homogeneous in (y, a), so at width a it is the unit-width member with y^l
 scaled by a^(degree - l).  The width is a positive rational, giving
 polynomials in y, or None, giving polynomials in (y, a), with negative
 powers of a where the degree is below that of y.
+
+All of it runs on integers.  A scalar coefficient is a pair (num, den):
+those of cosh t and sinh(t)/t are ±1/(2i)! and ±1/(2i+1)!, and the s^j
+coefficient of a quotient adds its j + 1 parts over their lcm and divides
+out one gcd.  A member puts its j + 1 products A(j-i) cosh_i or
+B(j-i) sinhc_i over their lcm; at a rational width p/q it scales the
+numerator of y^l, e = degree - l, by p^(e - lo) q^(hi - e) over
+p^-lo q^hi, as ``Poly.subs`` does, and it returns through ``reduced``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from typing import Callable, Optional, Union
 from .polyring import Exponent, Poly, as_scalar, reduced, second_partials
 
 Width = Optional[Fraction]  # None = keep a symbolic
-Coeff = Callable[[int], Fraction]  # s^i coefficient of a scalar series
+Ratio = tuple[int, int]  # num, den with den > 0
+Coeff = Callable[[int], Ratio]  # s^i coefficient of a scalar series
 Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
 Image = Callable[[int, int], Poly]  # (j, m) -> T_j y^m, a Poly in y (and possibly a)
 
@@ -67,25 +76,30 @@ def boundary_data(g, n: int) -> Poly:
     return g
 
 
-def _zero(i: int) -> Fraction:
-    return Fraction(0)
+def _zero(i: int) -> Ratio:
+    return 0, 1
 
 
-def one(i: int) -> Fraction:
+def one(i: int) -> Ratio:
     """s^i coefficient of the series 1."""
-    return Fraction(i == 0)
+    return int(i == 0), 1
 
 
 @lru_cache(maxsize=1024)
-def _sinhc(i: int) -> Fraction:
+def _sinhc(i: int) -> Ratio:
     """s^i coefficient of sinh(t)/t; times y^(2i+1), that of sinh(ty)/t."""
-    return Fraction((-1) ** i, math.factorial(2 * i + 1))
+    return (-1) ** i, math.factorial(2 * i + 1)
 
 
 @lru_cache(maxsize=1024)
-def _cosh(i: int) -> Fraction:
+def _cosh(i: int) -> Ratio:
     """s^i coefficient of cosh(t); times y^(2i), that of cosh(ty)."""
-    return Fraction((-1) ** i, math.factorial(2 * i))
+    return (-1) ** i, math.factorial(2 * i)
+
+
+def negated(c: Ratio) -> Ratio:
+    """The ratio -c."""
+    return -c[0], c[1]
 
 
 _QUOTIENTS = {
@@ -97,14 +111,25 @@ _QUOTIENTS = {
 
 
 @lru_cache(maxsize=1024)
-def quotient(name: str, j: int) -> Fraction:
-    """s^j coefficient of the named scalar quotient N(s)/D(s), where D(0) = 1."""
+def quotient(name: str, j: int) -> Ratio:
+    """s^j coefficient of the named scalar quotient N(s)/D(s), where D(0) = 1.
+
+    N(j) - Σ_{i=1..j} D(i) Q(j-i), its j + 1 parts put over their lcm and
+    reduced once.
+    """
     if j < 0:
-        return Fraction(0)
+        return 0, 1
     N, D = _QUOTIENTS[name]
     # filling 0 .. j-1 in order keeps the recursion one level deep
     Q = [quotient(name, i) for i in range(j)]
-    return N(j) - sum((D(i) * Q[j - i] for i in range(1, j + 1)), Fraction(0))
+    parts = [N(j)]
+    for i in range(1, j + 1):
+        (dn, dd), (qn, qd) = D(i), Q[j - i]
+        parts.append((-dn * qn, dd * qd))
+    den = math.lcm(*(d for _, d in parts))
+    num = sum(n * (den // d) for n, d in parts)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def member(j: int, a: Width, A: Coeff = _zero, B: Coeff = _zero, odd: bool = False) -> Poly:
@@ -115,17 +140,26 @@ def member(j: int, a: Width, A: Coeff = _zero, B: Coeff = _zero, odd: bool = Fal
     """
     if j < 0:
         raise ValueError("order must be non-negative")
-    unit = {}
+    unit = {}  # y exponent -> (num, den) at unit width
     for i in range(j + 1):
-        ca, cb = A(j - i), B(j - i)
-        if ca:
-            unit[2 * i] = ca * _cosh(i)
-        if cb:
-            unit[2 * i + 1] = cb * _sinhc(i)
+        (an, ad), (bn, bd) = A(j - i), B(j - i)
+        if an:
+            cn, cd = _cosh(i)
+            unit[2 * i] = an * cn, ad * cd
+        if bn:
+            sn, sd = _sinhc(i)
+            unit[2 * i + 1] = bn * sn, bd * sd
+    L = math.lcm(*(d for _, d in unit.values()))
+    scaled = {l: n * (L // d) for l, (n, d) in unit.items()}  # numerators over L
     degree = 2 * j + odd
     if a is None:
-        return Poly(2, {(l, degree - l): c for l, c in unit.items()})
-    return Poly(1, {(l,): c * a ** (degree - l) for l, c in unit.items()})
+        return reduced(2, L, {(l, degree - l): c for l, c in scaled.items()})
+    # a^e at a = p/q, e = degree - l, is p^(e - lo) q^(hi - e) over p^-lo q^hi
+    exps = [degree - l for l in scaled]
+    lo, hi = min([0, *exps]), max([0, *exps])
+    p, q = a.numerator, a.denominator
+    nums = {(l,): c * p ** (degree - l - lo) * q ** (hi - degree + l) for l, c in scaled.items()}
+    return reduced(1, L * p ** -lo * q ** hi, nums)
 
 
 def apply_dx_series(g: Poly, n: int, image: Image, nvars: int) -> Poly:

@@ -18,7 +18,7 @@ from typing import Literal
 
 from . import dirichlet, mixed
 from .particular import inv_laplacian
-from .polyring import Poly, Ring, as_scalar, lift
+from .polyring import Poly, Ring, as_scalar, lift, poly_sum
 from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
@@ -104,9 +104,10 @@ def solve(problem: LayerProblem) -> SolutionReport:
     lower_corr = problem.lower - tilde_lower
     upper_corr = problem.upper - tilde_upper
     if problem.kind == "dirichlet":
-        u = tilde + dirichlet.basis_v(lower_corr, n, a) + dirichlet.basis_u(upper_corr, n, a)
+        lower, upper = dirichlet.basis_v(lower_corr, n, a), dirichlet.basis_u(upper_corr, n, a)
     else:
-        u = tilde + mixed.mixed_basis_u(lower_corr, n, a) + mixed.mixed_basis_v(upper_corr, n, a)
+        lower, upper = mixed.mixed_basis_u(lower_corr, n, a), mixed.mixed_basis_v(upper_corr, n, a)
+    u = poly_sum(tilde.nvars, (tilde, lower, upper))
 
     report = verify(u, problem)
     if not report.verified:

@@ -8,6 +8,7 @@ import pytest
 
 from layerpoisson import cli
 from layerpoisson.cli import main
+from layerpoisson.parsing import MAX_NESTING
 
 from conftest import P
 
@@ -230,3 +231,14 @@ def test_overlong_integer_literal_is_one_line_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot parse rhs: integer literal too long (at position 0)\n"
+
+
+def test_deeply_nested_parentheses_are_one_line_usage_error(capsys):
+    args = list(EXAMPLE_1_ARGS)
+    args[args.index("--rhs") + 1] = "(" * 400 + "x" + ")" * 400
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the first "(" past the limit is the one at index MAX_NESTING
+    assert captured.err == (
+        f"error: cannot parse rhs: expression nested too deeply (at position {MAX_NESTING})\n")

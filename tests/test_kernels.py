@@ -8,13 +8,16 @@ and LaTeX rendering, JSON, exact and float evaluation).  Each is checked
 here against a term-by-term ``Fraction`` loop written in this file, on
 random polynomials.  The parser, which builds that form directly, is
 checked against the parser as it was when it built a ``Poly`` per atom, on
-random expressions.
+random expressions.  The y-family generator, which forms scalar quotients
+and family members as integer numerator/denominator pairs, is checked
+against the generator as it was when it computed on ``Fraction``.
 """
 
 import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +26,7 @@ from layerpoisson import dirichlet, mixed
 from layerpoisson.parsing import PolyParseError, parse_expr
 from layerpoisson.particular import inv_laplacian
 from layerpoisson.polyring import Poly, to_latex, to_text
-from layerpoisson.series import correction
+from layerpoisson.series import correction, quotient
 
 FAMILIES = {"c": dirichlet._c, "c_flip": dirichlet._c_flip, "d": mixed._d, "e": mixed._e}
 
@@ -542,3 +545,79 @@ def test_parser_errors_match_reference(tokens, sep, allow, data):
     copies = data.draw(st.sampled_from([0, 2]))
     text = sep.join(tokens[:i] + tokens[i:i + 1] * copies + tokens[i + 1:])
     assert parsed(parse_expr, text, allow) == parsed(ref_parse_expr, text, allow)
+
+
+# -- the y-families against the generator that computed on Fraction --------
+
+
+def ref_sinhc(i):
+    return Fraction((-1) ** i, math.factorial(2 * i + 1))
+
+
+def ref_cosh(i):
+    return Fraction((-1) ** i, math.factorial(2 * i))
+
+
+def ref_one(i):
+    return Fraction(i == 0)
+
+
+def ref_zero(i):
+    return Fraction(0)
+
+
+REF_QUOTIENTS = {
+    "t/sinh t": (ref_one, ref_sinhc),
+    "t coth t": (ref_cosh, ref_sinhc),
+    "tanh(t)/t": (ref_sinhc, ref_cosh),
+    "sech t": (ref_one, ref_cosh),
+}
+
+
+@lru_cache(maxsize=None)
+def ref_quotient(name, j):
+    if j < 0:
+        return Fraction(0)
+    N, D = REF_QUOTIENTS[name]
+    Q = [ref_quotient(name, i) for i in range(j)]
+    return N(j) - sum((D(i) * Q[j - i] for i in range(1, j + 1)), Fraction(0))
+
+
+def ref_member(j, a, A=ref_zero, B=ref_zero, odd=False):
+    unit = {}
+    for i in range(j + 1):
+        ca, cb = A(j - i), B(j - i)
+        if ca:
+            unit[2 * i] = ca * ref_cosh(i)
+        if cb:
+            unit[2 * i + 1] = cb * ref_sinhc(i)
+    degree = 2 * j + odd
+    if a is None:
+        return Poly(2, {(l, degree - l): c for l, c in unit.items()})
+    return Poly(1, {(l,): c * a ** (degree - l) for l, c in unit.items()})
+
+
+REF_FAMILIES = {
+    "c": lambda j, a: ref_member(j, a, B=lambda i: ref_quotient("t/sinh t", i)),
+    "c_flip": lambda j, a: ref_member(j, a, A=ref_one, B=lambda i: -ref_quotient("t coth t", i)),
+    "d": lambda j, a: ref_member(j, a, A=ref_one, B=lambda i: ref_quotient("tanh(t)/t", i - 1)),
+    "e": lambda j, a: ref_member(j, a, B=lambda i: ref_quotient("sech t", i), odd=True),
+}
+
+family_widths = st.one_of(
+    st.none(), st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)))
+
+
+@given(st.sampled_from(sorted(REF_QUOTIENTS)), st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_quotient_matches_fraction_reference(name, j):
+    # a reduced pair with a positive denominator
+    ref = ref_quotient(name, j)
+    assert quotient(name, j) == (ref.numerator, ref.denominator)
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 30), family_widths)
+@settings(max_examples=150, deadline=None)
+def test_family_member_matches_fraction_reference(name, j, a):
+    got, ref = FAMILIES[name](j, a), REF_FAMILIES[name](j, a)
+    assert (got.nvars, got.den, got.nums) == (ref.nvars, ref.den, ref.nums)

@@ -1,6 +1,6 @@
 import pytest
 
-from layerpoisson.parsing import PolyParseError, parse_expr, parse_poly
+from layerpoisson.parsing import MAX_NESTING, PolyParseError, parse_expr, parse_poly
 from layerpoisson.polyring import Poly
 
 from conftest import P, XY, X3Y
@@ -76,3 +76,15 @@ def test_overlong_integer_literal_is_a_parse_error(text, position):
     with pytest.raises(PolyParseError, match="integer literal too long") as exc:
         parse_poly(text, 1)
     assert exc.value.position == position
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert parse_poly("(" * MAX_NESTING + "x + y" + ")" * MAX_NESTING, 1) == parse_poly("x + y", 1)
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    text = "-(" * 400 + "x" + ")" * 400
+    with pytest.raises(PolyParseError, match="expression nested too deeply") as exc:
+        parse_poly(text, 1)
+    # the position of the first "(" past the limit
+    assert exc.value.position == 2 * MAX_NESTING + 1

@@ -3,7 +3,9 @@
 Seeded random problems of both kinds, n = 1..3, at rational widths, are
 solved with the package.  The solution's canonical text and the problem's
 data strings are then read by sympy, without going through ``Poly``, and
-sympy checks that Δu = P and that both boundary traces hold.
+sympy checks that Δu = P and that both boundary traces hold.  The scalar
+quotients the y-families are built from are checked against their closed
+forms in Bernoulli and Euler numbers.
 """
 
 import random
@@ -15,6 +17,7 @@ sympy = pytest.importorskip("sympy")
 
 from layerpoisson.parsing import parse_poly
 from layerpoisson.polyring import Ring, to_text
+from layerpoisson.series import quotient
 from layerpoisson.solver import LayerProblem, solve
 
 WIDTHS = (Fraction(1), Fraction(1, 2), Fraction(7, 3), Fraction(5, 4))
@@ -73,3 +76,22 @@ def test_solution_satisfies_the_problem_in_sympy(seed):
     assert sympy.expand(laplacian - rhs) == 0
     assert sympy.expand(u.subs(y, 0) - lower) == 0
     assert sympy.expand(top.subs(y, a_sym) - upper) == 0
+
+
+def _t_coefficient(name, k):
+    """The t^(2k) coefficient of the named even series, in closed form."""
+    B, E, f = sympy.bernoulli, sympy.euler, sympy.factorial
+    return {
+        "t coth t": 2 ** (2 * k) * B(2 * k) / f(2 * k),
+        "t/sinh t": (2 - 2 ** (2 * k)) * B(2 * k) / f(2 * k),
+        "tanh(t)/t": 2 ** (2 * k + 2) * (2 ** (2 * k + 2) - 1) * B(2 * k + 2) / f(2 * k + 2),
+        "sech t": E(2 * k) / f(2 * k),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["t coth t", "t/sinh t", "tanh(t)/t", "sech t"])
+def test_scalar_quotients_match_bernoulli_and_euler_closed_forms(name):
+    # s = -t^2, so the s^k coefficient is (-1)^k times the t^(2k) one
+    for k in range(31):
+        num, den = quotient(name, k)
+        assert sympy.Rational(num, den) == (-1) ** k * _t_coefficient(name, k), k
