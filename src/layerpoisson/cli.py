@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -66,20 +67,36 @@ def _parse(field: str, expr, n: int) -> Poly:
         raise UsageError(f"cannot parse {field}: {exc}") from None
 
 
+# an integer or p/q literal of the expression grammar, with an optional sign
+_RATIONAL_RE = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
 def _width(value) -> Fraction:
-    text = str(value)
+    """A JSON int, or a string holding an integer or p/q literal; never a float."""
+    text = str(value)  # a float, bool, list or object never reads as a literal
+    match = _RATIONAL_RE.fullmatch(text)
     try:
-        return Fraction(text)
+        if match:
+            return Fraction(int(match[1]), int(match[2] or 1))
     except ZeroDivisionError:
         raise UsageError(f"width: zero denominator in {text!r}") from None
+    except ValueError:  # more digits than int() takes
+        pass
+    raise UsageError(f"width: not a rational number: {text!r}")
+
+
+def _dimension(value) -> int:
+    text = str(value)  # through str, so a JSON float is refused, not truncated
+    try:
+        return int(text)
     except ValueError:
-        raise UsageError(f"width: not a rational number: {text!r}") from None
+        raise UsageError(f"dimension: not an integer: {text!r}") from None
 
 
 def _problem_from_args(args) -> LayerProblem:
     spec = _problem_spec(args)
+    n = _dimension(spec["n"])
     try:
-        n = int(str(spec["n"]))  # through str, so a JSON float is refused, not truncated
         return LayerProblem(
             n=n,
             a=_width(spec["a"]),

@@ -28,7 +28,6 @@ Every scalar that enters a ``Poly`` (a coefficient, an operand of ``+``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -394,16 +393,53 @@ def lift(p: Poly, nvars: int, positions: Sequence[int | None]) -> Poly:
     return reduced(nvars, p.den, out)
 
 
-@dataclass(frozen=True)
-class Ring:
+class _Record:
+    """Immutable value with field-wise ``==``, ``hash`` and ``repr`` over ``_fields``.
+
+    Written out by hand so that importing the package loads neither
+    ``inspect`` nor what it imports, which cost more than the package
+    itself at start-up.  A subclass names its fields in ``_fields``, and
+    its ``__init__`` passes their values on in that order.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Ring(_Record):
     """Variable layout for a layer of spatial dimension ``n``.
 
     Variables are x1..xn (indices 0..n-1), then y (index n), then the
     formal width symbol a (index n+1) when ``formal_a`` is set.
     """
 
-    n: int
-    formal_a: bool = False
+    _fields = ("n", "formal_a")
+
+    def __init__(self, n: int, formal_a: bool = False):
+        super().__init__(n, formal_a)
 
     @property
     def nvars(self) -> int:

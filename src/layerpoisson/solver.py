@@ -12,20 +12,18 @@ three residual polynomials are identically zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
 from . import dirichlet, mixed
 from .particular import inv_laplacian
-from .polyring import Poly, Ring, as_scalar, lift, poly_sum
+from .polyring import Poly, Ring, _Record, as_scalar, lift, poly_sum
 from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
 
 
-@dataclass(frozen=True)
-class LayerProblem:
+class LayerProblem(_Record):
     """Poisson problem in the layer 0 < y < a with polynomial data.
 
     ``lower`` is the prescribed value at y=0.  ``upper`` is the value at
@@ -34,42 +32,37 @@ class LayerProblem:
     boundary polynomials must not involve y.
     """
 
-    n: int
-    a: Fraction
-    rhs: Poly
-    kind: Kind
-    lower: Poly
-    upper: Poly
+    _fields = ("n", "a", "rhs", "kind", "lower", "upper")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, a: Fraction, rhs: Poly, kind: Kind, lower: Poly, upper: Poly):
+        if n < 1:
             raise ValueError("spatial dimension must be at least 1")
-        if self.a is None:
+        if a is None:
             raise TypeError("a layer problem needs a rational width")
-        object.__setattr__(self, "a", width(self.a))
-        if self.kind not in ("dirichlet", "mixed"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        nvars = self.ring.nvars
-        for name, p in (("rhs", self.rhs), ("lower", self.lower), ("upper", self.upper)):
+        a = width(a)
+        if kind not in ("dirichlet", "mixed"):
+            raise ValueError(f"unknown problem kind {kind!r}")
+        nvars = Ring(n).nvars
+        for name, p in (("rhs", rhs), ("lower", lower), ("upper", upper)):
             if not isinstance(p, Poly) or p.nvars != nvars:
-                raise ValueError(f"{name} must be a Poly in the ring x1..x{self.n}, y")
-        for name, p in (("lower", self.lower), ("upper", self.upper)):
-            if p.degree_in(self.n) != 0:
+                raise ValueError(f"{name} must be a Poly in the ring x1..x{n}, y")
+        for name, p in (("lower", lower), ("upper", upper)):
+            if p.degree_in(n) != 0:
                 raise ValueError(f"boundary polynomial {name} must not involve y")
+        super().__init__(n, a, rhs, kind, lower, upper)
 
     @property
     def ring(self) -> Ring:
         return Ring(self.n)
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(_Record):
     """A candidate solution together with its exact residuals."""
 
-    u: Poly
-    residual_pde: Poly
-    residual_lower: Poly
-    residual_upper: Poly
+    _fields = ("u", "residual_pde", "residual_lower", "residual_upper")
+
+    def __init__(self, u: Poly, residual_pde: Poly, residual_lower: Poly, residual_upper: Poly):
+        super().__init__(u, residual_pde, residual_lower, residual_upper)
 
     @property
     def verified(self) -> bool:

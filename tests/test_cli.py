@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,19 @@ def test_cli_import_skips_numeric_stack():
     assert out.strip() == "[]"
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # each costs more at start-up than the package; -S keeps site hooks from loading them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, layerpoisson.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 PROBLEM_SPEC = {"n": 1, "a": "1", "kind": "dirichlet", "rhs": "x^2", "lower": "0", "upper": "0"}
 
 
@@ -242,3 +256,42 @@ def test_deeply_nested_parentheses_are_one_line_usage_error(capsys):
     # the first "(" past the limit is the one at index MAX_NESTING
     assert captured.err == (
         f"error: cannot parse rhs: expression nested too deeply (at position {MAX_NESTING})\n")
+
+
+@pytest.mark.parametrize("make_argv, text", [
+    (lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "a": 0.1})], "0.1"),
+    (lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "a": 0.5})], "0.5"),
+    (lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "a": True})], "True"),
+    (lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "a": "1/2.0"})],
+     "1/2.0"),
+    (lambda tmp: ["solve", "--dim", "1", "--width", "2.5e-1", "--kind", "dirichlet",
+                  "--rhs", "x^2", "--lower", "0", "--upper", "0"], "2.5e-1"),
+    (lambda tmp: ["solve", "--dim", "1", "--width", "0.5", "--kind", "dirichlet",
+                  "--rhs", "x^2", "--lower", "0", "--upper", "0"], "0.5"),
+    (lambda tmp: ["solve", "--dim", "1", "--width", "1_0", "--kind", "dirichlet",
+                  "--rhs", "x^2", "--lower", "0", "--upper", "0"], "1_0"),
+    (lambda tmp: ["solve", "--dim", "1", "--width", "1/" + "9" * 5000, "--kind", "dirichlet",
+                  "--rhs", "x^2", "--lower", "0", "--upper", "0"], "1/" + "9" * 5000),
+], ids=["json-float", "json-float-half", "json-bool", "float-denominator", "flag-exponent",
+        "flag-decimal", "flag-underscore", "flag-too-long"])
+def test_width_that_is_not_a_rational_literal_is_refused(make_argv, text, tmp_path, capsys):
+    assert main(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: width: not a rational number: {text!r}\n"
+
+
+@pytest.mark.parametrize("a, width", [(2, "2"), ("7/3", "7/3"), (" 1/2 ", "1/2")])
+def test_width_accepts_json_ints_and_rational_strings(a, width, tmp_path, capsys):
+    spec = {**PROBLEM_SPEC, "a": a, "rhs": "0", "lower": "x", "upper": "x + 1"}
+    assert main(["solve", "--problem", _problem_file(tmp_path, spec)]) == 0
+    # u = x + y/a solves the problem, so the width shows in the solution
+    assert capsys.readouterr().out.startswith(f"solution: x1 + {1 / Fraction(width)}*y\n")
+
+
+@pytest.mark.parametrize("n, text", [(3.0, "3.0"), ("abc", "abc"), (True, "True")])
+def test_dimension_that_is_not_an_integer_names_the_field(n, text, tmp_path, capsys):
+    assert main(["solve", "--problem", _problem_file(tmp_path, {**PROBLEM_SPEC, "n": n})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension: not an integer: {text!r}\n"
