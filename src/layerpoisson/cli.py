@@ -86,11 +86,15 @@ def _width(value) -> Fraction:
 
 
 def _dimension(value) -> int:
+    """A JSON int, or a string holding an integer literal; never a float."""
     text = str(value)  # through str, so a JSON float is refused, not truncated
+    match = _RATIONAL_RE.fullmatch(text)
     try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"dimension: not an integer: {text!r}") from None
+        if match and match[2] is None:
+            return int(match[1])
+    except ValueError:  # more digits than int() takes
+        pass
+    raise UsageError(f"dimension: not an integer: {text!r}")
 
 
 def _problem_from_args(args) -> LayerProblem:
@@ -148,7 +152,7 @@ def _cmd_tables(args) -> int:
     if args.max_m < 0:
         raise UsageError("--max-m must be non-negative")
     gen = _FAMILIES[args.family]
-    names = ("y", "a")
+    names = Ring(0, formal_a=True).names
     entries = [(m, gen(m)) for m in range(args.max_m + 1)]
     if args.output == "json":
         payload = [
@@ -183,7 +187,7 @@ def _cmd_numcheck(args) -> int:
 
 def _add_problem_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--problem", help="JSON problem file (overrides the flags below)")
-    sub.add_argument("--dim", type=int, help="spatial dimension n")
+    sub.add_argument("--dim", help="spatial dimension n")
     sub.add_argument("--width", help="layer width a, rational like 1 or 7/3")
     sub.add_argument("--kind", choices=("dirichlet", "mixed"))
     sub.add_argument("--rhs", help="right-hand side polynomial in x1..xn, y")

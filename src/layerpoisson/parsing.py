@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .polyring import Poly, poly_sum, reduced
+from .polyring import Poly, Ring, poly_sum, reduced
 
 
 class PolyParseError(ValueError):
@@ -180,8 +180,7 @@ def parse_poly(expr: str, n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("spatial dimension must be at least 1")
-    slots = {f"x{i + 1}": i for i in range(n)}
-    slots["y"] = n
+    slots = {name: i for i, name in enumerate(Ring(n).names)}
     if n == 1:
         slots["x"] = 0
     return _Parser(expr, slots, n + 1, False).parse()

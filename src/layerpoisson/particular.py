@@ -13,16 +13,15 @@ has total degree deg(P) + 2.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .polyring import Poly, Ring
+from .polyring import Poly, Ring, lift, reduced
 from .series import apply_dx_series, normalize_index
 
 
 def _integrate_y(j: int, m: int) -> Poly:
     """(-1)^j I_y^(j+1) y^m = (-1)^j m!/(m+2j+2)! y^(m+2j+2), a Poly in y."""
     e = m + 2 * j + 2
-    return Poly.monomial(1, (e,), Fraction((-1) ** j * math.factorial(m), math.factorial(e)))
+    return reduced(1, math.factorial(e), {(e,): (-1) ** j * math.factorial(m)})
 
 
 def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
@@ -42,22 +41,12 @@ def inv_laplacian_monomial_alt(k: int, m: int) -> Poly:
     """The x-integrated particular solution for n = 1.
 
     u1 = sum_{j=0}^{floor(m/2)} (-1)^j k!m!/((k+2j+2)!(m-2j)!) x^(k+2j+2) y^(m-2j)
+
+    which is the y-integrated solution for x^m y^k with x and y swapped.
     """
     if k < 0 or m < 0:
         raise ValueError("exponents must be non-negative")
-    ring = Ring(1)
-    result = ring.zero()
-    sign = 1
-    ratio = Fraction(1)   # k!/(k+2j+2)!
-    fall = Fraction(1)    # m!/(m-2j)! = m(m-1)...(m-2j+1)
-    for j in range(m // 2 + 1):
-        ratio *= Fraction(1, (k + 2 * j + 1) * (k + 2 * j + 2))
-        result = result + Poly.monomial(
-            ring.nvars, (k + 2 * j + 2, m - 2 * j), sign * ratio * fall
-        )
-        fall *= (m - 2 * j) * (m - 2 * j - 1)
-        sign = -sign
-    return result
+    return lift(inv_laplacian(Poly.monomial(2, (m, k)), 1), 2, (1, 0))
 
 
 def inv_laplacian(P: Poly, n: int) -> Poly:

@@ -39,7 +39,7 @@ Scalar = Union[int, Fraction]
 class Poly:
     """Immutable sparse polynomial in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "den", "nums", "_hash")
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | Iterable = ()):
         if nvars < 0:
@@ -68,11 +68,17 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through reduced, not through __setattr__
+        return reduced, (self.nvars, self.den, self.nums)
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
@@ -139,11 +145,7 @@ class Poly:
         return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, self.den, frozenset(self.nums.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     # -- arithmetic --------------------------------------------------------
 

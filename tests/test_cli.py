@@ -295,3 +295,28 @@ def test_dimension_that_is_not_an_integer_names_the_field(n, text, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: dimension: not an integer: {text!r}\n"
+
+
+def _solve_with_dim(dim):
+    return ["solve", "--dim", dim, "--width", "1", "--kind", "dirichlet",
+            "--rhs", "x^2", "--lower", "0", "--upper", "0"]
+
+
+@pytest.mark.parametrize("make_argv, text", [
+    (lambda tmp: _solve_with_dim("3.0"), "3.0"),
+    (lambda tmp: _solve_with_dim("1_0"), "1_0"),
+    (lambda tmp: _solve_with_dim("9" * 5000), "9" * 5000),
+    (lambda tmp: _solve_with_dim("1/1"), "1/1"),
+    (lambda tmp: ["solve", "--problem", _problem_file(tmp, {**PROBLEM_SPEC, "n": "1_0"})], "1_0"),
+], ids=["flag-decimal", "flag-underscore", "flag-too-long", "flag-ratio", "json-underscore"])
+def test_dimension_flag_and_file_refuse_the_same_literals(make_argv, text, tmp_path, capsys):
+    assert main(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension: not an integer: {text!r}\n"
+
+
+@pytest.mark.parametrize("dim", ["1", " 1 ", "+1"])
+def test_dimension_flag_accepts_an_integer_literal(dim, capsys):
+    assert main(_solve_with_dim(dim)) == 0
+    assert capsys.readouterr().out.startswith("solution: ")

@@ -10,7 +10,9 @@ random polynomials.  The parser, which builds that form directly, is
 checked against the parser as it was when it built a ``Poly`` per atom, on
 random expressions.  The y-family generator, which forms scalar quotients
 and family members as integer numerator/denominator pairs, is checked
-against the generator as it was when it computed on ``Fraction``.
+against the generator as it was when it computed on ``Fraction``.  The
+x-integrated particular solution, now the y-integrated series with x and
+y swapped, is checked against the ``Fraction`` loop that computed it.
 """
 
 import json
@@ -24,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from layerpoisson import dirichlet, mixed
 from layerpoisson.parsing import PolyParseError, parse_expr
-from layerpoisson.particular import inv_laplacian
+from layerpoisson.particular import inv_laplacian, inv_laplacian_monomial_alt
 from layerpoisson.polyring import Poly, to_latex, to_text
 from layerpoisson.series import correction, quotient
 
@@ -621,3 +623,36 @@ def test_quotient_matches_fraction_reference(name, j):
 def test_family_member_matches_fraction_reference(name, j, a):
     got, ref = FAMILIES[name](j, a), REF_FAMILIES[name](j, a)
     assert (got.nvars, got.den, got.nums) == (ref.nvars, ref.den, ref.nums)
+
+
+# -- the x-integrated particular solution ------------------------------------
+
+
+def ref_inv_laplacian_monomial_alt(k, m):
+    """Σ_j (-1)^j k!m!/((k+2j+2)!(m-2j)!) x^(k+2j+2) y^(m-2j), one Fraction term at a time."""
+    result = Poly.zero(2)
+    sign = 1
+    ratio = Fraction(1)   # k!/(k+2j+2)!
+    fall = Fraction(1)    # m!/(m-2j)! = m(m-1)...(m-2j+1)
+    for j in range(m // 2 + 1):
+        ratio *= Fraction(1, (k + 2 * j + 1) * (k + 2 * j + 2))
+        result = result + Poly.monomial(2, (k + 2 * j + 2, m - 2 * j), sign * ratio * fall)
+        fall *= (m - 2 * j) * (m - 2 * j - 1)
+        sign = -sign
+    return result
+
+
+@given(st.integers(0, 30), st.integers(0, 30))
+@settings(max_examples=150, deadline=None)
+def test_x_integrated_solution_matches_fraction_reference(k, m):
+    got, ref = inv_laplacian_monomial_alt(k, m), ref_inv_laplacian_monomial_alt(k, m)
+    assert (got.nvars, got.den, got.nums) == (ref.nvars, ref.den, ref.nums)
+    assert to_text(got, ("x", "y")) == to_text(ref, ("x", "y"))
+
+
+@given(st.integers(0, 30), st.integers(0, 30))
+@settings(max_examples=150, deadline=None)
+def test_x_integrated_solution_solves_the_monomial(k, m):
+    u1 = inv_laplacian_monomial_alt(k, m)
+    assert u1.laplacian(1) == Poly.monomial(2, (k, m))
+    assert u1.total_degree() == k + m + 2

@@ -133,3 +133,36 @@ def test_ring_survives_deepcopy_and_pickle():
 def test_layer_problem_validation_errors(changes, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _problem(**changes)
+
+
+_TWINS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_TWINS))
+@pytest.mark.parametrize("value", [
+    Poly.zero(3), P("-7/3*x1^4*y^2*a^-1 + 1/2*y - 5", ("x1", "y", "a")), _problem(),
+    solve(_problem(rhs=P("x1^2*y - 1/3"), lower=P("2*x1"))),
+], ids=["zero-Poly", "Poly", "LayerProblem", "SolutionReport"])
+def test_values_survive_copy_deepcopy_and_pickle(value, how):
+    twin = _TWINS[how](value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+def test_poly_copy_stays_immutable():
+    twin = pickle.loads(pickle.dumps(P("x1 + 1/2")))
+    with pytest.raises(AttributeError, match="Poly is immutable"):
+        twin.den = 1
+    assert twin + 1 == P("x1 + 3/2")
+
+
+@pytest.mark.parametrize("name", ["nvars", "den", "nums", "other"])
+def test_poly_refuses_deletion(name):
+    p = P("1/2*x1^2 - y")
+    with pytest.raises(AttributeError, match="Poly is immutable"):
+        delattr(p, name)
+    assert p == P("1/2*x1^2 - y") and p.den == 2
