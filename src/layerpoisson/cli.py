@@ -170,8 +170,14 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_numcheck(args) -> int:
-    # numpy and scipy take most of a second to import; only this command needs them
-    from . import numcheck
+    # numpy and scipy take most of a second to import; only this command needs
+    # them, and they are an optional extra
+    try:
+        from . import numcheck
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] not in ("numpy", "scipy"):
+            raise
+        raise UsageError(f"numcheck needs numpy and scipy (the 'numcheck' extra): {exc}") from None
 
     results = numcheck.run_all_checks()
     if args.output == "json":

@@ -17,7 +17,6 @@ deeper group is a ``PolyParseError`` at its opening parenthesis.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .polyring import Poly, Ring, poly_sum, reduced
@@ -35,41 +34,46 @@ class PolyParseError(ValueError):
 # below what the interpreter's default recursion limit allows
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])")
+# leading whitespace, then one token: a float literal (refused), an integer,
+# a name, an operator, any other character (refused), or the end of the text
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(.)|\Z)", re.S)
 
 
-def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
+def _tokenize(text: str) -> list[tuple[str | None, str | int | None, int]]:
+    """(kind, value, position) per token, ending with the sentinel (None, None, len(text))."""
     tokens = []
+    match = _TOKEN_RE.match
     pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1):
-            raise PolyParseError("floating-point literals are not accepted", pos)
-        if m.group(2):
+    while True:
+        m = match(text, pos)
+        group = m.lastindex
+        if group is None:
+            tokens.append((None, None, len(text)))
+            return tokens
+        at = m.start(group)
+        if group == 2:
             try:
-                tokens.append(("int", int(m.group(2)), pos))
+                tokens.append(("int", int(m[2]), at))
             except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise PolyParseError("integer literal too long", pos) from None
-        elif m.group(3):
-            tokens.append(("name", m.group(3), pos))
+                raise PolyParseError("integer literal too long", at) from None
+        elif group == 3:
+            tokens.append(("name", m[3], at))
+        elif group == 4:
+            tokens.append(("op", m[4], at))
+        elif group == 1:
+            raise PolyParseError("floating-point literals are not accepted", at)
         else:
-            tokens.append(("op", m.group(4), pos))
+            raise PolyParseError(f"unexpected character {m[5]!r}", at)
         pos = m.end()
-    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, slots: Mapping[str, int], nvars: int,
                  allow_negative_exponents: bool):
         self.text = text
-        # each name's exponent vector, and the exponent vector of a number
-        self.names = {name: tuple(int(j == i) for j in range(nvars)) for name, i in slots.items()}
-        self.const_exp = (0,) * nvars
+        self.slots = slots  # name -> variable index; exponent vectors are built per use
+        self.const_exp = (0,) * nvars  # the exponent vector of a number
         self.nvars = nvars
         self.allow_negative_exponents = allow_negative_exponents
         self.tokens = _tokenize(text)
@@ -77,16 +81,18 @@ class _Parser:
         self.depth = 0  # open parentheses around the current position
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
+        # taking the end sentinel is always followed by an error, so pos never
+        # moves past it into an index that is not there
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def accept(self, ops: str):
         """If the next token is one of the operators in ops, take it and return it; else None."""
-        kind, value, _ = self.peek()
+        kind, value, _ = self.tokens[self.pos]
         if kind == "op" and value in ops:
             self.pos += 1
             return value
@@ -96,7 +102,8 @@ class _Parser:
         p = self.expr()
         kind, _, at = self.peek()
         if kind is not None:
-            raise PolyParseError(f"unexpected {_TOKEN_RE.match(self.text, at).group()!r}", at)
+            m = _TOKEN_RE.match(self.text, at)
+            raise PolyParseError(f"unexpected {m[m.lastindex]!r}", at)
         return p
 
     def expr(self) -> Poly:
@@ -127,8 +134,10 @@ class _Parser:
         e = self.exponent()
         if len(p.nums) == 1:
             (exp, num), = p.nums.items()
-            c = Fraction(num, p.den) ** e
-            return reduced(self.nvars, c.denominator, {tuple(v * e for v in exp): c.numerator})
+            exp, den = tuple(v * e for v in exp), p.den
+            if e < 0:
+                num, den, e = den, num, -e
+            return reduced(self.nvars, den ** e, {exp: num ** e})
         if e < 0:
             raise PolyParseError("negative exponent requires a single monomial base", at)
         return p ** e
@@ -152,9 +161,10 @@ class _Parser:
                     raise PolyParseError("zero denominator", at)
             return reduced(self.nvars, den, {self.const_exp: value})
         if kind == "name":
-            if value not in self.names:
+            i = self.slots.get(value)
+            if i is None:
                 raise PolyParseError(f"unknown variable {value!r}", at)
-            return reduced(self.nvars, 1, {self.names[value]: 1})
+            return reduced(self.nvars, 1, {(0,) * i + (1,) + (0,) * (self.nvars - i - 1): 1})
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise PolyParseError("expression nested too deeply", at)

@@ -58,7 +58,8 @@ class Poly:
 
     def _store(self, nvars: int, den: int, nums: dict[Exponent, int]) -> "Poly":
         """Set the canonical form of Σ nums[exp]/den x^exp; den is any nonzero int."""
-        nums = {exp: c for exp, c in nums.items() if c}
+        if 0 in nums.values():
+            nums = {exp: c for exp, c in nums.items() if c}
         g = math.gcd(den, *nums.values())
         if den < 0:
             g = -g
@@ -344,7 +345,12 @@ def as_scalar(value) -> Fraction:
 
 
 def reduced(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
-    """The Poly Σ nums[exp]/den x^exp in canonical form; den is any nonzero int."""
+    """The Poly Σ nums[exp]/den x^exp in canonical form; den is any nonzero int.
+
+    The Poly may keep ``nums`` itself as its stored map, so the caller hands
+    the dict over and never changes it afterwards; a stored map is never
+    changed either, so passing one on (as ``__reduce__`` does) is safe.
+    """
     return object.__new__(Poly)._store(nvars, den, nums)
 
 

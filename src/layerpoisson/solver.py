@@ -7,7 +7,9 @@ finite series in the spatial Laplacian (see ``series``), applied to the
 whole data polynomial: the harmonic corrections are the basis functions
 of ``dirichlet`` or ``mixed`` with the boundary polynomial as their data.  Every step is exact
 rational arithmetic, so verify() certifies the result by checking that
-three residual polynomials are identically zero.
+three residual polynomials are identically zero.  verify() walks u once:
+one pass over its terms, grouped by their x part, gives the Laplacian and
+both boundary traces together.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Literal
 
 from . import dirichlet, mixed
 from .particular import inv_laplacian
-from .polyring import Poly, Ring, _Record, as_scalar, lift, poly_sum
+from .polyring import Poly, Ring, _Record, as_scalar, lift, poly_sum, reduced
 from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
@@ -114,8 +116,58 @@ def verify(u: Poly, problem: LayerProblem) -> SolutionReport:
     n = problem.n
     if u.nvars != problem.ring.nvars:
         raise ValueError(f"solution must live in the ring x1..x{n}, y")
-    lower, upper = _traces(u, problem)
-    return SolutionReport(u, u.laplacian(n) - problem.rhs, lower - problem.lower, upper - problem.upper)
+    lap, lower, upper = _residual_parts(u, problem)
+    return SolutionReport(u, lap - problem.rhs, lower - problem.lower, upper - problem.upper)
+
+
+def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
+    """Δu, u at y=0, and u or ∂u/∂y at y=a, from one walk over the terms of u.
+
+    The terms are grouped by their x part.  A group gives its ∂²/∂y² terms,
+    its y⁰ term and one top-trace sum term by term; each ∂²/∂x_v² moves the
+    whole group to one shifted x part.  At a = p/q the top trace is a sum
+    over q^hi, hi the largest y exponent: c y^e contributes c p^e q^(hi-e)
+    to the value and c e p^(e-1) q^(hi-e+1) to the y-derivative.
+    """
+    n, nums = problem.n, u.nums
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # x part -> (y exponent, numerator)
+    for exp, c in nums.items():
+        x = exp[:n]
+        group = groups.get(x)
+        if group is None:
+            groups[x] = [(exp[n], c)]
+        else:
+            group.append((exp[n], c))
+    ys = {exp[n] for exp in nums}
+    if ys and min(ys) < 0:
+        raise ZeroDivisionError("substituting 0 into a negative power")
+    hi = max(ys, default=0)
+    p, q = problem.a.numerator, problem.a.denominator
+    if problem.kind == "dirichlet":
+        scale = [p ** e * q ** (hi - e) for e in range(hi + 1)]
+    else:
+        scale = [e * p ** (e - 1) * q ** (hi - e + 1) if e else 0 for e in range(hi + 1)]
+    lap, lower, top = {}, {}, {}
+    for x, group in groups.items():
+        base = x + (0,)
+        trace = 0
+        for e, c in group:
+            if e >= 2:
+                key = x + (e - 2,)
+                lap[key] = lap.get(key, 0) + c * (e * (e - 1))
+            elif not e:
+                lower[base] = c
+            trace += c * scale[e]
+        top[base] = trace
+        for v, xv in enumerate(x):
+            if xv >= 2:
+                f = xv * (xv - 1)
+                shifted = x[:v] + (xv - 2,) + x[v + 1:]
+                for e, c in group:
+                    key = shifted + (e,)
+                    lap[key] = lap.get(key, 0) + c * f
+    nvars, den = u.nvars, u.den
+    return reduced(nvars, den, lap), reduced(nvars, den, lower), reduced(nvars, den * q ** hi, top)
 
 
 def rectangle_trace(u: Poly, x_edges: tuple[Fraction, Fraction]) -> tuple[Poly, Poly]:

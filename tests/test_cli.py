@@ -320,3 +320,19 @@ def test_dimension_flag_and_file_refuse_the_same_literals(make_argv, text, tmp_p
 def test_dimension_flag_accepts_an_integer_literal(dim, capsys):
     assert main(_solve_with_dim(dim)) == 0
     assert capsys.readouterr().out.startswith("solution: ")
+
+
+def test_numcheck_without_numpy_is_one_error_line():
+    # numpy and scipy are the optional 'numcheck' extra, so their absence is an input error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from layerpoisson.cli import main; sys.exit(main(['numcheck']))"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                        text=True, timeout=60)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numcheck needs numpy and scipy")

@@ -88,3 +88,9 @@ def test_nesting_past_the_limit_is_a_parse_error():
         parse_poly(text, 1)
     # the position of the first "(" past the limit
     assert exc.value.position == 2 * MAX_NESTING + 1
+
+
+def test_large_dimension_builds_the_exponents_of_the_names_used():
+    p = parse_poly("x4999*y", 5000)
+    assert p.nvars == 5001 and p.den == 1
+    assert p.nums == {(0,) * 4998 + (1, 0, 1): 1}
