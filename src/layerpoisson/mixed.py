@@ -3,7 +3,9 @@
 Both corrections are finite series Σ_j s_j(y) Δ_x^j g in the spatial
 Laplacian, with s_j the coefficient of Δ_x^j (-t^2 standing for Δ_x) in
 one series quotient.  This module defines the two families, each cached
-per (j, width), and applies them with ``series.correction``:
+per (j, width): seeded at j = 0 with 1 and y, then stepped by
+``series.member`` with ∂_y s_j(a) = 0.  It applies them with
+``series.correction``:
 
   * value g at y=0 and zero y-derivative at y=a: cosh(t(a-y))/cosh(ta);
   * zero value at y=0 and y-derivative g at y=a: sinh(ty)/(t cosh(ta)).
@@ -24,20 +26,19 @@ from typing import Sequence
 
 from .dirichlet import AMode, multiindex_factor
 from .polyring import Poly
-from .series import Width, boundary_data, correction, member, one, quotient, width
+from .series import Width, boundary_data, correction, member, seed, width
 
 
 @lru_cache(maxsize=1024)
 def _d(j: int, a: Width) -> Poly:
     """s_j of cosh(t(a-y))/cosh(ta): value x^k at y=0, zero ∂_y at y=a."""
-    # cosh(t(1-y)) = cosh(t) cosh(ty) - t^2 (sinh(t)/t) (sinh(ty)/t), and -t^2 = s
-    return member(j, a, A=one, B=lambda i: quotient("tanh(t)/t", i - 1))
+    return member(_d, j, a, slope=True) if j else seed(a, {(0, 0): 1})
 
 
 @lru_cache(maxsize=1024)
 def _e(j: int, a: Width) -> Poly:
     """s_j of sinh(ty)/(t cosh(ta)): value 0 at y=0, ∂_y x^k at y=a."""
-    return member(j, a, B=lambda i: quotient("sech t", i), odd=True)
+    return member(_e, j, a, slope=True) if j else seed(a, {(1, 0): 1})
 
 
 def p_poly(m: int, a: AMode = None) -> Poly:

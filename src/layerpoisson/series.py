@@ -6,39 +6,32 @@ Every operator the solver needs is a function of the spatial Laplacian
     particular solution   Σ_j (-1)^j I_y^(j+1) Δ_x^j P,   I_y = ∫_0^y ∫_0^s
     harmonic correction   Σ_j s_j(y) Δ_x^j g
 
-The y-family s_j of a correction is the sequence of coefficients of one
-even-power-series quotient, written in s = -t^2 so that s stands for Δ_x.
-``dirichlet`` and ``mixed`` define their two families each.  At unit width
-the addition theorems split every such quotient as
-A(s) cosh(ty) + B(s) sinh(ty)/t, where A and B are 0, 1, or one of the
-scalar quotients t/sinh t, t coth t, tanh(t)/t and sech t.  So only scalar
-series are divided, and s_j is a sum of j + 1 terms.  Each s_j is
-homogeneous in (y, a), so at width a it is the unit-width member with y^l
-scaled by a^(degree - l).  The width is a positive rational, giving
-polynomials in y, or None, giving polynomials in (y, a), with negative
-powers of a where the degree is below that of y.
+Δ(s_j Δ_x^j g) = s_j'' Δ_x^j g + s_j Δ_x^(j+1) g, so a correction is
+harmonic when its y-family obeys one recurrence, s_j'' = -s_{j-1}, with
+s_j(0) = 0 for j >= 1 and one condition at the top: s_j(a) = 0 for the
+Dirichlet families, or s_j'(a) = 0 for the mixed ones.  ``member`` takes
+that step, s_j = -I_y s_{j-1} + c y, with the scalar c that meets the top
+condition; ``dirichlet`` and ``mixed`` seed their two families each at
+j = 0.  The width is a positive rational, giving polynomials in y, or
+None, giving polynomials in (y, a), with negative powers of a where the
+degree is below that of y.
 
-All of it runs on integers.  A scalar coefficient is a pair (num, den):
-those of cosh t and sinh(t)/t are ±1/(2i)! and ±1/(2i+1)!, and the s^j
-coefficient of a quotient adds its j + 1 parts over their lcm and divides
-out one gcd.  A member puts its j + 1 products A(j-i) cosh_i or
-B(j-i) sinhc_i over their lcm; at a rational width p/q it scales the
-numerator of y^l, e = degree - l, by p^(e - lo) q^(hi - e) over
-p^-lo q^hi, as ``Poly.subs`` does, and it returns through ``reduced``.
+All of it runs on integers.  A step puts its integrated terms over one
+lcm.  At a rational width p/q the top value or slope is summed over q^hi,
+as ``solver._residual_parts`` does; at the symbolic width every member is
+homogeneous in (y, a), so c is a multiple of one power of a.  Each member
+returns through ``reduced``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .polyring import Exponent, Poly, as_scalar, reduced, second_partials
 
 Width = Optional[Fraction]  # None = keep a symbolic
-Ratio = tuple[int, int]  # num, den with den > 0
-Coeff = Callable[[int], Ratio]  # s^i coefficient of a scalar series
 Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
 Image = Callable[[int, int], Poly]  # (j, m) -> T_j y^m, a Poly in y (and possibly a)
 
@@ -76,90 +69,71 @@ def boundary_data(g, n: int) -> Poly:
     return g
 
 
-def _zero(i: int) -> Ratio:
-    return 0, 1
+def seed(a: Width, terms: dict[tuple[int, int], int]) -> Poly:
+    """Σ c y^l a^k over ``terms`` {(l, k): c}, at width a: a Poly in y, or in (y, a)."""
+    if a is None:
+        return Poly(2, terms)
+    return Poly(1, {(l,): c * a ** k for (l, k), c in terms.items()})
 
 
-def one(i: int) -> Ratio:
-    """s^i coefficient of the series 1."""
-    return int(i == 0), 1
+def member(family: Family, j: int, a: Width, slope: bool = False) -> Poly:
+    """s_j = -I_y s_{j-1} + c y, the member of ``family`` after s_{j-1}, at width a.
+
+    The scalar c makes s_j(a) = 0, or ∂_y s_j(a) = 0 when ``slope``.  Members
+    0 .. j-1 are read through ``family`` in order, so the recursion stays one
+    level deep.
+    """
+    if j < 1:
+        raise ValueError("order must be positive")
+    for i in range(j):
+        prev = family(i, a)
+    # -I_y y^l = -y^(l+2) / ((l+1)(l+2)), over one lcm M; then c y cancels
+    # the top value Σ n_l a^(l+2), or the top slope Σ (l+2) n_l a^(l+1)
+    M = math.lcm(*((e[0] + 1) * (e[0] + 2) for e in prev.nums))
+    den = prev.den * M
+    nums, top = {}, 0
+    if a is None:
+        for (l, k), c in prev.nums.items():
+            n = -c * (M // ((l + 1) * (l + 2)))
+            nums[l + 2, k] = n
+            top += n * (l + 2 if slope else 1)
+        # s_{j-1} is homogeneous of degree d in (y, a), so c is a multiple of a^(d+1)
+        d = sum(next(iter(prev.nums)))
+        nums[1, d + 1] = -top
+        return reduced(2, den, nums)
+    # a^(l+1) at a = p/q is p^(l+1) q^(hi-l-1) over q^hi
+    p, q = a.numerator, a.denominator
+    hi = max(prev.nums)[0] + 1
+    scale = q ** hi
+    for (l,), c in prev.nums.items():
+        n = -c * (M // ((l + 1) * (l + 2)))
+        nums[l + 2,] = n * scale
+        top += n * (l + 2 if slope else 1) * p ** (l + 1) * q ** (hi - l - 1)
+    nums[1,] = -top
+    return reduced(1, den * scale, nums)
 
 
-@lru_cache(maxsize=1024)
-def _sinhc(i: int) -> Ratio:
-    """s^i coefficient of sinh(t)/t; times y^(2i+1), that of sinh(ty)/t."""
-    return (-1) ** i, math.factorial(2 * i + 1)
+def quotient(name: str, j: int) -> tuple[int, int]:
+    """s^j coefficient of a scalar quotient, s = -t^2, as a reduced (num, den).
 
-
-@lru_cache(maxsize=1024)
-def _cosh(i: int) -> Ratio:
-    """s^i coefficient of cosh(t); times y^(2i), that of cosh(ty)."""
-    return (-1) ** i, math.factorial(2 * i)
-
-
-def negated(c: Ratio) -> Ratio:
-    """The ratio -c."""
-    return -c[0], c[1]
-
-
-_QUOTIENTS = {
-    "t/sinh t": (one, _sinhc),
-    "t coth t": (_cosh, _sinhc),
-    "tanh(t)/t": (_sinhc, _cosh),
-    "sech t": (one, _cosh),
-}
-
-
-@lru_cache(maxsize=1024)
-def quotient(name: str, j: int) -> Ratio:
-    """s^j coefficient of the named scalar quotient N(s)/D(s), where D(0) = 1.
-
-    N(j) - Σ_{i=1..j} D(i) Q(j-i), its j + 1 parts put over their lcm and
-    reduced once.
+    Each is the y coefficient of a unit-width family member: t/sinh t of
+    ``_c(j)``, t coth t of ``-_c_flip(j)``, tanh(t)/t of ``_d(j + 1)`` and
+    sech t of ``_e(j)``.
     """
     if j < 0:
         return 0, 1
-    N, D = _QUOTIENTS[name]
-    # filling 0 .. j-1 in order keeps the recursion one level deep
-    Q = [quotient(name, i) for i in range(j)]
-    parts = [N(j)]
-    for i in range(1, j + 1):
-        (dn, dd), (qn, qd) = D(i), Q[j - i]
-        parts.append((-dn * qn, dd * qd))
-    den = math.lcm(*(d for _, d in parts))
-    num = sum(n * (den // d) for n, d in parts)
-    g = math.gcd(num, den)
-    return num // g, den // g
+    from . import dirichlet, mixed  # both import this module
 
-
-def member(j: int, a: Width, A: Coeff = _zero, B: Coeff = _zero, odd: bool = False) -> Poly:
-    """Coefficient s_j(y) of Δ_x^j in A(s) cosh(ty) + B(s) sinh(ty)/t, at width a.
-
-    A and B give the unit-width s^i coefficients.  The family is homogeneous
-    of degree 2j in (y, a), or 2j + 1 when ``odd``.
-    """
-    if j < 0:
-        raise ValueError("order must be non-negative")
-    unit = {}  # y exponent -> (num, den) at unit width
-    for i in range(j + 1):
-        (an, ad), (bn, bd) = A(j - i), B(j - i)
-        if an:
-            cn, cd = _cosh(i)
-            unit[2 * i] = an * cn, ad * cd
-        if bn:
-            sn, sd = _sinhc(i)
-            unit[2 * i + 1] = bn * sn, bd * sd
-    L = math.lcm(*(d for _, d in unit.values()))
-    scaled = {l: n * (L // d) for l, (n, d) in unit.items()}  # numerators over L
-    degree = 2 * j + odd
-    if a is None:
-        return reduced(2, L, {(l, degree - l): c for l, c in scaled.items()})
-    # a^e at a = p/q, e = degree - l, is p^(e - lo) q^(hi - e) over p^-lo q^hi
-    exps = [degree - l for l in scaled]
-    lo, hi = min([0, *exps]), max([0, *exps])
-    p, q = a.numerator, a.denominator
-    nums = {(l,): c * p ** (degree - l - lo) * q ** (hi - degree + l) for l, c in scaled.items()}
-    return reduced(1, L * p ** -lo * q ** hi, nums)
+    family, i, sign = {
+        "t/sinh t": (dirichlet._c, j, 1),
+        "t coth t": (dirichlet._c_flip, j, -1),
+        "tanh(t)/t": (mixed._d, j + 1, 1),
+        "sech t": (mixed._e, j, 1),
+    }[name]
+    s = family(i, Fraction(1))
+    num = sign * s.nums.get((1,), 0)
+    g = math.gcd(num, s.den)
+    return num // g, s.den // g
 
 
 def apply_dx_series(g: Poly, n: int, image: Image, nvars: int) -> Poly:

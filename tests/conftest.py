@@ -1,5 +1,20 @@
 from layerpoisson.parsing import parse_expr
 
+# numpy and scipy are the optional 'numcheck' extra.  These two files import
+# layerpoisson.numcheck, which needs both, so without the extra they are left
+# out rather than reported as collection errors.
+try:
+    import numpy  # noqa: F401
+    import scipy  # noqa: F401
+except ImportError as missing:
+    collect_ignore = ["test_numcheck.py", "test_acceptance.py"]
+    _HEADER = (f"not collected: {', '.join(collect_ignore)}, "
+               f"which need {missing.name} (the 'numcheck' extra)")
+
+    def pytest_report_header(config):
+        return _HEADER
+
+
 XY = ("x1", "y")
 XYA = ("x1", "y", "a")
 YA = ("y", "a")
