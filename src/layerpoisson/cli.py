@@ -170,16 +170,16 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_numcheck(args) -> int:
-    # numpy and scipy take most of a second to import; only this command needs
+    # numpy and scipy take most of a second to import; only the checks need
     # them, and they are an optional extra
+    from . import numcheck
+
     try:
-        from . import numcheck
+        results = numcheck.run_all_checks()
     except ModuleNotFoundError as exc:
         if (exc.name or "").partition(".")[0] not in ("numpy", "scipy"):
             raise
         raise UsageError(f"numcheck needs numpy and scipy (the 'numcheck' extra): {exc}") from None
-
-    results = numcheck.run_all_checks()
     if args.output == "json":
         print(json.dumps([r.to_json_dict() for r in results], indent=2))
     else:

@@ -4,16 +4,15 @@ The exact pipeline never touches floats; this module independently checks
 it against the integral and series representations behind it: the layer
 Poisson kernels in closed form (n = 1 and n = 3), moment integrals by
 adaptive quadrature, partial sums of the associated trigonometric series,
-and direct convolution quadrature against the harmonic basis.
+and direct convolution quadrature against the harmonic basis.  numpy and
+scipy, the optional 'numcheck' extra, are imported by the functions that
+use them, so the module itself imports without them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.integrate import quad
 
 from . import dirichlet
 
@@ -51,6 +50,7 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(f, lo, hi, tol=1e-12) -> float:
+    from scipy.integrate import quad
     value, err = quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=300)
     if not math.isfinite(value) or err > max(1e-6, 1e-6 * abs(value)):
         raise QuadratureError(f"integral error estimate {err} too large")
@@ -86,6 +86,7 @@ def trig_series_sum(m: int, y: float, a: float, alternating: bool, terms: int) -
     """Partial sum of sum_k (+-1)^(k-1) sin(pi k y / a) / k^(2m+1)."""
     if terms < 1:
         raise ValueError("need at least one term")
+    import numpy as np
     k = np.arange(1, terms + 1, dtype=float)
     signs = np.where(np.arange(terms) % 2 == 0, 1.0, -1.0) if alternating else 1.0
     return float(np.sum(signs * np.sin(math.pi * k * y / a) / k ** (2 * m + 1)))
@@ -145,6 +146,7 @@ class CheckResult:
 
 def run_all_checks() -> list[CheckResult]:
     """The full numeric cross-check battery, deterministic and self-contained."""
+    import numpy as np
     results: list[CheckResult] = []
     rng = np.random.default_rng(20240817)
 

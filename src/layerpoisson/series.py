@@ -20,7 +20,11 @@ All of it runs on integers.  A step puts its integrated terms over one
 lcm.  At a rational width p/q the top value or slope is summed over q^hi,
 as ``solver._residual_parts`` does; at the symbolic width every member is
 homogeneous in (y, a), so c is a multiple of one power of a.  Each member
-returns through ``reduced``.
+returns through ``reduced``.  ``apply_dx_series`` takes the integer
+content of each power Δ_x^j g out before any product and cancels it
+against each image's denominator once per image, as the factorials of
+Δ_x^j x^k and of the family cancel in the paper's binomial sums; its
+result is then reduced by a small common factor, not a large one.
 """
 
 from __future__ import annotations
@@ -141,22 +145,31 @@ def apply_dx_series(g: Poly, n: int, image: Image, nvars: int) -> Poly:
 
     ``g`` lives in the ring x1..xn, y.  ``image(j, m)`` is T_j y^m; each
     output key is the x exponent of a term of Δ_x^j g followed by an
-    exponent of that image.  The powers Δ_x^j g share the denominator of
-    g, and the images used are put over the lcm L of theirs, so the sum
-    is accumulated in integers over g.den*L.
+    exponent of that image.  Δ_x^j g is k_j h_j / g.den with h_j primitive;
+    the content k_j is cancelled against each image's denominator once per
+    image, and the images, each scaled by what is left of k_j, are put over
+    the lcm L of their reduced denominators.  So the sum is accumulated in
+    integers over g.den*L, and ``reduced`` finds only a small gcd.
     """
-    powers = []  # numerators of Δ_x^j g
-    h = g.nums
+    powers = []  # (k_j, h_j)
+    h, k = g.nums, 1
     while h:
-        powers.append(h)
+        c = math.gcd(*h.values())
+        if c != 1:
+            h, k = {exp: v // c for exp, v in h.items()}, k * c
+        powers.append((k, h))
         h = second_partials(h, n)
-    used = {(j, m): image(j, m) for j, h in enumerate(powers) for m in {e[n] for e in h}}
-    L = math.lcm(*{t.den for t in used.values()})
-    scaled = {
-        key: [(tail, q * (L // t.den)) for tail, q in t.nums.items()] for key, t in used.items()
-    }
+    used = {}  # (j, m) -> (numerators of T_j y^m, its den / r, k_j / r), r = gcd(k_j, den)
+    for j, (k, h) in enumerate(powers):
+        for m in {e[n] for e in h}:
+            t = image(j, m)
+            r = math.gcd(k, t.den)
+            used[j, m] = t.nums, t.den // r, k // r
+    L = math.lcm(*{d for _, d, _ in used.values()})
+    scaled = {key: [(tail, q * f * (L // d)) for tail, q in nums.items()]
+              for key, (nums, d, f) in used.items()}
     out: dict[Exponent, int] = {}
-    for j, h in enumerate(powers):
+    for j, (_, h) in enumerate(powers):
         for exp, c in h.items():
             x = exp[:n]
             for tail, q in scaled[j, exp[n]]:

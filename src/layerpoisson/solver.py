@@ -123,21 +123,24 @@ def verify(u: Poly, problem: LayerProblem) -> SolutionReport:
 def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
     """Δu, u at y=0, and u or ∂u/∂y at y=a, from one walk over the terms of u.
 
-    The terms are grouped by their x part.  A group gives its ∂²/∂y² terms,
-    its y⁰ term and one top-trace sum term by term; each ∂²/∂x_v² moves the
-    whole group to one shifted x part.  At a = p/q the top trace is a sum
-    over q^hi, hi the largest y exponent: c y^e contributes c p^e q^(hi-e)
-    to the value and c e p^(e-1) q^(hi-e+1) to the y-derivative.
+    The terms are grouped by their x part into {y exponent: numerator}
+    maps, and Δu is accumulated in maps of the same shape.  A group gives
+    its ∂²/∂y² terms, its y⁰ term and one top-trace sum term by term; each
+    ∂²/∂x_v² moves the whole group into the map of one shifted x part.
+    The exponent x + (e,) of a term of Δu is built only for the nonzero
+    terms left after those sums.  At a = p/q the top trace is a sum over
+    q^hi, hi the largest y exponent: c y^e contributes c p^e q^(hi-e) to
+    the value and c e p^(e-1) q^(hi-e+1) to the y-derivative.
     """
     n, nums = problem.n, u.nums
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # x part -> (y exponent, numerator)
+    groups: dict[tuple[int, ...], dict[int, int]] = {}  # x part -> {y exponent: numerator}
     for exp, c in nums.items():
         x = exp[:n]
         group = groups.get(x)
         if group is None:
-            groups[x] = [(exp[n], c)]
+            groups[x] = {exp[n]: c}
         else:
-            group.append((exp[n], c))
+            group[exp[n]] = c
     ys = {exp[n] for exp in nums}
     if ys and min(ys) < 0:
         raise ZeroDivisionError("substituting 0 into a negative power")
@@ -147,14 +150,15 @@ def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
         scale = [p ** e * q ** (hi - e) for e in range(hi + 1)]
     else:
         scale = [e * p ** (e - 1) * q ** (hi - e + 1) if e else 0 for e in range(hi + 1)]
-    lap, lower, top = {}, {}, {}
+    lap: dict[tuple[int, ...], dict[int, int]] = {}  # x part -> {y exponent: numerator} of Δu
+    lower, top = {}, {}
     for x, group in groups.items():
         base = x + (0,)
         trace = 0
-        for e, c in group:
+        out = lap.setdefault(x, {})
+        for e, c in group.items():
             if e >= 2:
-                key = x + (e - 2,)
-                lap[key] = lap.get(key, 0) + c * (e * (e - 1))
+                out[e - 2] = out.get(e - 2, 0) + c * (e * (e - 1))
             elif not e:
                 lower[base] = c
             trace += c * scale[e]
@@ -163,11 +167,15 @@ def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
             if xv >= 2:
                 f = xv * (xv - 1)
                 shifted = x[:v] + (xv - 2,) + x[v + 1:]
-                for e, c in group:
-                    key = shifted + (e,)
-                    lap[key] = lap.get(key, 0) + c * f
+                out = lap.get(shifted)
+                if out is None:
+                    lap[shifted] = {e: c * f for e, c in group.items()}
+                else:
+                    for e, c in group.items():
+                        out[e] = out.get(e, 0) + c * f
     nvars, den = u.nvars, u.den
-    return reduced(nvars, den, lap), reduced(nvars, den, lower), reduced(nvars, den * q ** hi, top)
+    lap_nums = {x + (e,): c for x, out in lap.items() for e, c in out.items() if c}
+    return reduced(nvars, den, lap_nums), reduced(nvars, den, lower), reduced(nvars, den * q ** hi, top)
 
 
 def rectangle_trace(u: Poly, x_edges: tuple[Fraction, Fraction]) -> tuple[Poly, Poly]:

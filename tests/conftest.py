@@ -1,18 +1,25 @@
+import pytest
+
 from layerpoisson.parsing import parse_expr
 
-# numpy and scipy are the optional 'numcheck' extra.  These two files import
-# layerpoisson.numcheck, which needs both, so without the extra they are left
-# out rather than reported as collection errors.
+# numpy and scipy are the optional 'numcheck' extra.  layerpoisson.numcheck
+# imports them only inside the functions that use them, so without the extra
+# test_numcheck.py is left out and, of the acceptance gates, only the numeric
+# cross-checks are skipped; the golden tables and the other gates still run.
 try:
     import numpy  # noqa: F401
     import scipy  # noqa: F401
 except ImportError as missing:
-    collect_ignore = ["test_numcheck.py", "test_acceptance.py"]
-    _HEADER = (f"not collected: {', '.join(collect_ignore)}, "
-               f"which need {missing.name} (the 'numcheck' extra)")
+    collect_ignore = ["test_numcheck.py"]
+    _REASON = f"needs {missing.name} (the 'numcheck' extra)"
 
     def pytest_report_header(config):
-        return _HEADER
+        return f"not collected: test_numcheck.py, which {_REASON}"
+
+    def pytest_collection_modifyitems(config, items):
+        for item in items:
+            if item.name == "test_criterion_7_numeric_cross_checks":
+                item.add_marker(pytest.mark.skip(reason=_REASON))
 
 
 XY = ("x1", "y")

@@ -656,3 +656,50 @@ def test_x_integrated_solution_solves_the_monomial(k, m):
     u1 = inv_laplacian_monomial_alt(k, m)
     assert u1.laplacian(1) == Poly.monomial(2, (k, m))
     assert u1.total_degree() == k + m + 2
+
+
+# -- the Δ_x series on data with large content -------------------------------
+# apply_dx_series takes each power's integer content out and cancels it
+# against each image's denominator, so these data make that content large:
+# numerators of up to 30 digits that share a factor of up to 28, or are
+# independent, over a denominator of up to 25 digits, with exponents up to
+# 16 (whose Δ_x powers carry large factorials).
+
+EXP16 = st.integers(0, 16)
+CONTENT_WIDTHS = st.one_of(
+    st.sampled_from([None, Fraction(1), Fraction(7, 3)]),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)).map(lambda t: Fraction(*t)),
+)
+
+
+def content_terms(n, y):
+    """Term maps over x1..xn, y (y exponent from ``y``) with large numerators and denominators."""
+    exps = st.tuples(*[EXP16] * n, y)
+    shared = st.builds(
+        lambda k, d, small: {exp: Fraction(k * s, d) for exp, s in small.items()},
+        st.integers(1, 10**28), st.integers(1, 10**25),
+        st.dictionaries(exps, st.integers(-99, 99).filter(bool), min_size=1, max_size=4),
+    )
+    independent = st.dictionaries(
+        exps, st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**25)), max_size=4
+    )
+    return st.one_of(shared, independent)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), content_terms(n, EXP16))))
+@settings(max_examples=40, deadline=None)
+def test_inv_laplacian_on_large_content_matches_fraction_reference(case):
+    n, terms = case
+    P = Poly(n + 1, terms)
+    assert inv_laplacian(P, n).terms == ref_inv_laplacian(P.terms, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@given(case=st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), content_terms(n, st.just(0)))),
+       a=CONTENT_WIDTHS)
+@settings(max_examples=25, deadline=None)
+def test_correction_on_large_content_matches_fraction_reference(name, case, a):
+    n, terms = case
+    family = FAMILIES[name]
+    g = Poly(n + 1, terms)
+    assert correction(family, g, n, a).terms == ref_correction(family, g.terms, n, a)

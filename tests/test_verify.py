@@ -128,3 +128,62 @@ def test_solve_takes_the_particular_traces_through_traces(monkeypatch):
                            lower=P("x1^2"), upper=P("1"))
     assert solve(problem).verified
     assert len(calls) == 1
+
+
+# -- the per-x-part Laplacian: Δu is summed in one {y exponent: numerator}
+# map per x part, and only the nonzero entries become terms
+
+X2Y = ("x1", "x2", "y")
+
+
+def _own_problem(u, n, kind, a=Fraction(7, 3)):
+    """The problem whose data are u's own Laplacian and traces, so u solves it."""
+    own = ref_verify(u, _problem(n, kind, a))
+    return LayerProblem(n=n, a=a, kind=kind, rhs=own.residual_pde, lower=own.residual_lower,
+                        upper=own.residual_upper)
+
+
+def _x_parts(p, n):
+    return {exp[:n] for exp in p.nums}
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "mixed"])
+@pytest.mark.parametrize("n, text, names", [
+    (1, "x1^2*y^3", ("x1", "y")),                         # x part (0,) only through ∂²_x1
+    (2, "x1^3*x2^2*y - 5/7*x1^3*y^4", X2Y),               # (1, 2) and (3, 0) only through shifts
+    (3, "2*x1^2*x2^4*x3^3*y^2", X3Y),                     # three shifted parts, none in u
+])
+def test_x_part_reached_only_through_a_spatial_shift(n, text, names, kind):
+    u = P(text, names)
+    lap = ref_verify(u, _problem(n, kind)).residual_pde
+    assert _x_parts(lap, n) - _x_parts(u, n), "the case needs an x part that u lacks"
+    for problem in (_problem(n, kind), _own_problem(u, n, kind)):
+        assert verify(u, problem) == ref_verify(u, problem)
+    assert verify(u, _own_problem(u, n, kind)).verified
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "mixed"])
+@pytest.mark.parametrize("n, text, names", [
+    (1, "x1^2 - y^2", ("x1", "y")),
+    (1, "x1^4 - 6*x1^2*y^2 + y^4 + 3*x1*y", ("x1", "y")),  # Re (x1 + i y)^4, plus a harmonic term
+    (3, "x1*x2*x3^2 - x1*x2*y^2", X3Y),
+    (3, "x1^2*x2 + x3^2*x2 - 2*x2*y^2 + 7/3*x1*x3*y", X3Y),  # three contributions to one entry
+])
+def test_y_and_x_contributions_that_cancel_exactly(n, text, names, kind):
+    u = P(text, names)
+    report = verify(u, _problem(n, kind))
+    assert report == ref_verify(u, _problem(n, kind))
+    assert report.residual_pde.is_zero() and report.residual_pde.nums == {}
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "mixed"])
+@pytest.mark.parametrize("n, text, names", [
+    (2, "x1^2*y + 3*x2^2*y", X2Y),                          # both into x part (0, 0): 8y
+    (2, "x1^2*y^3 - x2^2*y^3 + x1^4*x2^2", X2Y),            # the two shifts cancel
+    (3, "x1^2*x3*y^2 + x2^2*x3*y^2 - 2/5*x1^2*x2^2*x3", X3Y),
+])
+def test_two_variables_shifting_into_one_x_part(n, text, names, kind):
+    u = P(text, names)
+    for problem in (_problem(n, kind), _own_problem(u, n, kind)):
+        assert verify(u, problem) == ref_verify(u, problem)
+    assert verify(u, _own_problem(u, n, kind)).verified
