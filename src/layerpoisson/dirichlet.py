@@ -4,8 +4,9 @@ The harmonic polynomial with value g(x) at y = a and zero at y = 0 is the
 finite series Σ_j s_j(y) Δ_x^j g, where s_j is the coefficient of Δ_x^j in
 sinh(ty)/sinh(ta) read with -t^2 standing for Δ_x.  Swapping the two
 traces uses sinh(t(a-y))/sinh(ta) instead.  This module defines both
-families, each cached per (j, width): seeded at j = 0 with y/a and 1 - y/a,
-then stepped by ``series.member`` with s_j(a) = 0.  It applies them to
+families with ``series.family``: seeded at j = 0 with y/a and 1 - y/a, each
+keeps one list of members per width, grown in order by ``series.member``
+with s_j(a) = 0.  It applies them to
 boundary data with ``series.correction``: a multi-index k stands for the
 data x^k, and the solver passes its whole boundary polynomial.
 
@@ -24,25 +25,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence, Union
 
 from .polyring import Poly
-from .series import Width, boundary_data, correction, member, seed, width
+from .series import boundary_data, correction, family, width
 
 AMode = Union[None, int, Fraction]  # None = keep a symbolic
 
 
-@lru_cache(maxsize=1024)
-def _c(j: int, a: Width) -> Poly:
-    """s_j of sinh(ty)/sinh(ta): value x^k at y=a, 0 at y=0."""
-    return member(_c, j, a) if j else seed(a, {(1, -1): 1})
-
-
-@lru_cache(maxsize=1024)
-def _c_flip(j: int, a: Width) -> Poly:
-    """s_j of sinh(t(a-y))/sinh(ta): value x^k at y=0, 0 at y=a."""
-    return member(_c_flip, j, a) if j else seed(a, {(0, 0): 1, (1, -1): -1})
+# s_j of sinh(ty)/sinh(ta): value x^k at y=a, 0 at y=0
+_c = family(__name__, "_c", {(1, -1): 1})
+# s_j of sinh(t(a-y))/sinh(ta): value x^k at y=0, 0 at y=a
+_c_flip = family(__name__, "_c_flip", {(0, 0): 1, (1, -1): -1})
 
 
 def c_coeffs(M: int, a: AMode = None) -> list[Poly]:

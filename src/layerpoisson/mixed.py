@@ -2,9 +2,10 @@
 
 Both corrections are finite series Σ_j s_j(y) Δ_x^j g in the spatial
 Laplacian, with s_j the coefficient of Δ_x^j (-t^2 standing for Δ_x) in
-one series quotient.  This module defines the two families, each cached
-per (j, width): seeded at j = 0 with 1 and y, then stepped by
-``series.member`` with ∂_y s_j(a) = 0.  It applies them with
+one series quotient.  This module defines the two families with
+``series.family``: seeded at j = 0 with 1 and y, each keeps one list of
+members per width, grown in order by ``series.member`` with ∂_y s_j(a) = 0.
+It applies them with
 ``series.correction``:
 
   * value g at y=0 and zero y-derivative at y=a: cosh(t(a-y))/cosh(ta);
@@ -21,24 +22,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .dirichlet import AMode, multiindex_factor
 from .polyring import Poly
-from .series import Width, boundary_data, correction, member, seed, width
+from .series import boundary_data, correction, family, width
 
 
-@lru_cache(maxsize=1024)
-def _d(j: int, a: Width) -> Poly:
-    """s_j of cosh(t(a-y))/cosh(ta): value x^k at y=0, zero ∂_y at y=a."""
-    return member(_d, j, a, slope=True) if j else seed(a, {(0, 0): 1})
-
-
-@lru_cache(maxsize=1024)
-def _e(j: int, a: Width) -> Poly:
-    """s_j of sinh(ty)/(t cosh(ta)): value 0 at y=0, ∂_y x^k at y=a."""
-    return member(_e, j, a, slope=True) if j else seed(a, {(1, 0): 1})
+# s_j of cosh(t(a-y))/cosh(ta): value x^k at y=0, zero ∂_y at y=a
+_d = family(__name__, "_d", {(0, 0): 1}, slope=True)
+# s_j of sinh(ty)/(t cosh(ta)): value 0 at y=0, ∂_y x^k at y=a
+_e = family(__name__, "_e", {(1, 0): 1}, slope=True)
 
 
 def p_poly(m: int, a: AMode = None) -> Poly:

@@ -7,9 +7,11 @@ every accepted expression denotes an exact polynomial.
 
 The parser builds the stored form of ``polyring`` directly: a number or a
 variable is one numerator over one denominator, and the terms of a sum are
-accumulated once, by ``poly_sum``.  A single monomial takes any integer
-power in one step; a negative exponent is allowed only on a single monomial,
-and only when the caller asks for it.  In ``parse_poly`` with n = 1, ``x``
+accumulated once, by ``poly_sum``.  A variable power ``name ^ digits`` is
+one token, read by the tokenizer's one pass and built as one monomial.
+Any other single monomial also takes any integer power in one step; a
+negative exponent is allowed only on a single monomial, and only when the
+caller asks for it.  In ``parse_poly`` with n = 1, ``x``
 is an alias of ``x1``.  Parentheses nest at most ``MAX_NESTING`` deep; a
 deeper group is a ``PolyParseError`` at its opening parenthesis.
 """
@@ -35,13 +37,27 @@ class PolyParseError(ValueError):
 MAX_NESTING = 100
 
 # leading whitespace, then one token: a float literal (refused), an integer,
-# a name, an operator, any other character (refused), or the end of the text
+# a name with an optional power ``^ digits`` (no "." after the digits, so
+# that a float exponent is refused at its own position), an operator, any
+# other character (refused), or the end of the text
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(.)|\Z)", re.S)
+    r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+)(?![\d.]))?"
+    r"|([-+*/^()])|(.)|\Z)", re.S)
 
 
-def _tokenize(text: str) -> list[tuple[str | None, str | int | None, int]]:
-    """(kind, value, position) per token, ending with the sentinel (None, None, len(text))."""
+def _int(digits: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise PolyParseError("integer literal too long", at) from None
+
+
+def _tokenize(text: str) -> list[tuple[str | None, object, int]]:
+    """(kind, value, position) per token, ending with the sentinel (None, None, len(text)).
+
+    A name is a "power" token (name, e) when ``^ e`` follows it, else a
+    "name" token.
+    """
     tokens = []
     match = _TOKEN_RE.match
     pos = 0
@@ -53,18 +69,17 @@ def _tokenize(text: str) -> list[tuple[str | None, str | int | None, int]]:
             return tokens
         at = m.start(group)
         if group == 2:
-            try:
-                tokens.append(("int", int(m[2]), at))
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise PolyParseError("integer literal too long", at) from None
+            tokens.append(("int", _int(m[2], at), at))
         elif group == 3:
             tokens.append(("name", m[3], at))
         elif group == 4:
-            tokens.append(("op", m[4], at))
+            tokens.append(("power", (m[3], _int(m[4], at)), m.start(3)))
+        elif group == 5:
+            tokens.append(("op", m[5], at))
         elif group == 1:
             raise PolyParseError("floating-point literals are not accepted", at)
         else:
-            raise PolyParseError(f"unexpected character {m[5]!r}", at)
+            raise PolyParseError(f"unexpected character {m[6]!r}", at)
         pos = m.end()
 
 
@@ -103,7 +118,7 @@ class _Parser:
         kind, _, at = self.peek()
         if kind is not None:
             m = _TOKEN_RE.match(self.text, at)
-            raise PolyParseError(f"unexpected {m[m.lastindex]!r}", at)
+            raise PolyParseError(f"unexpected {m[3] or m[m.lastindex]!r}", at)
         return p
 
     def expr(self) -> Poly:
@@ -127,6 +142,10 @@ class _Parser:
         return p if sign == 1 else -p
 
     def power(self) -> Poly:
+        kind, value, at = self.tokens[self.pos]
+        if kind == "power":
+            self.pos += 1
+            return self.variable(*value, at)
         p = self.atom()
         at = self.peek()[2]
         if not self.accept("^"):
@@ -149,6 +168,13 @@ class _Parser:
             raise PolyParseError("exponent must be a non-negative integer literal", at)
         return sign * value
 
+    def variable(self, name: str, e: int, at: int) -> Poly:
+        """The monomial name^e."""
+        i = self.slots.get(name)
+        if i is None:
+            raise PolyParseError(f"unknown variable {name!r}", at)
+        return reduced(self.nvars, 1, {(0,) * i + (e,) + (0,) * (self.nvars - i - 1): 1})
+
     def atom(self) -> Poly:
         kind, value, at = self.take()
         if kind == "int":
@@ -161,10 +187,7 @@ class _Parser:
                     raise PolyParseError("zero denominator", at)
             return reduced(self.nvars, den, {self.const_exp: value})
         if kind == "name":
-            i = self.slots.get(value)
-            if i is None:
-                raise PolyParseError(f"unknown variable {value!r}", at)
-            return reduced(self.nvars, 1, {(0,) * i + (1,) + (0,) * (self.nvars - i - 1): 1})
+            return self.variable(value, 1, at)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise PolyParseError("expression nested too deeply", at)

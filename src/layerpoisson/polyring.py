@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
@@ -60,15 +61,16 @@ class Poly:
         """Set the canonical form of Σ nums[exp]/den x^exp; den is any nonzero int."""
         if 0 in nums.values():
             nums = {exp: c for exp, c in nums.items() if c}
-        g = math.gcd(den, *nums.values())
-        if den < 0:
-            g = -g
-        if g != 1:
-            den //= g
-            nums = {exp: c // g for exp, c in nums.items()}
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                nums = {exp: c // g for exp, c in nums.items()}
+        _set_nvars(self, nvars)
+        _set_den(self, den)
+        _set_nums(self, nums)
         return self
 
     def __setattr__(self, name, value):
@@ -180,7 +182,7 @@ class Poly:
         out: dict[Exponent, int] = {}
         for ea, ca in self.nums.items():
             for eb, cb in other.nums.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
         return reduced(self.nvars, self.den * other.den, out)
 
@@ -335,6 +337,10 @@ class Poly:
     def __repr__(self) -> str:
         terms = {exp: Fraction(num, den) for exp, num, den in self._ordered()}
         return f"Poly({self.nvars}, {terms!r})"
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_nvars, _set_den, _set_nums = (Poly.__dict__[name].__set__ for name in Poly.__slots__)
 
 
 def as_scalar(value) -> Fraction:

@@ -11,16 +11,17 @@ harmonic when its y-family obeys one recurrence, s_j'' = -s_{j-1}, with
 s_j(0) = 0 for j >= 1 and one condition at the top: s_j(a) = 0 for the
 Dirichlet families, or s_j'(a) = 0 for the mixed ones.  ``member`` takes
 that step, s_j = -I_y s_{j-1} + c y, with the scalar c that meets the top
-condition; ``dirichlet`` and ``mixed`` seed their two families each at
-j = 0.  The width is a positive rational, giving polynomials in y, or
-None, giving polynomials in (y, a), with negative powers of a where the
-degree is below that of y.
+condition.  ``family`` makes one y-family from its member at j = 0: a
+store of one list [s_0, s_1, ...] per rational width, grown in order by
+``member``; ``dirichlet`` and ``mixed`` make two families each.  A member
+at a positive rational width is a polynomial in y; at the symbolic width
+(None) it is a polynomial in (y, a), with negative powers of a where the
+degree is below that of y, read off the member at a = 1.
 
 All of it runs on integers.  A step puts its integrated terms over one
-lcm.  At a rational width p/q the top value or slope is summed over q^hi,
-as ``solver._residual_parts`` does; at the symbolic width every member is
-homogeneous in (y, a), so c is a multiple of one power of a.  Each member
-returns through ``reduced``.  ``apply_dx_series`` takes the integer
+lcm, and sums the top value or slope at a = p/q over q^hi, as
+``solver._residual_parts`` does.  Each member returns through
+``reduced``.  ``apply_dx_series`` takes the integer
 content of each power Δ_x^j g out before any product and cancels it
 against each image's denominator once per image, as the factorials of
 Δ_x^j x^k and of the family cancel in the paper's binomial sums; its
@@ -30,6 +31,8 @@ result is then reduced by a small common factor, not a large one.
 from __future__ import annotations
 
 import math
+import threading
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -73,48 +76,109 @@ def boundary_data(g, n: int) -> Poly:
     return g
 
 
-def seed(a: Width, terms: dict[tuple[int, int], int]) -> Poly:
-    """Σ c y^l a^k over ``terms`` {(l, k): c}, at width a: a Poly in y, or in (y, a)."""
-    if a is None:
-        return Poly(2, terms)
+def seed(p: int, q: int, terms: dict[tuple[int, int], int]) -> Poly:
+    """Σ c y^l a^k over ``terms`` {(l, k): c}, at width a = p/q: a Poly in y."""
+    a = Fraction(p, q)
     return Poly(1, {(l,): c * a ** k for (l, k), c in terms.items()})
 
 
-def member(family: Family, j: int, a: Width, slope: bool = False) -> Poly:
-    """s_j = -I_y s_{j-1} + c y, the member of ``family`` after s_{j-1}, at width a.
+def member(prev: Poly, p: int, q: int, slope: bool) -> Poly:
+    """s_j = -I_y s_{j-1} + c y at width a = p/q, from prev = s_{j-1}.
 
-    The scalar c makes s_j(a) = 0, or ∂_y s_j(a) = 0 when ``slope``.  Members
-    0 .. j-1 are read through ``family`` in order, so the recursion stays one
-    level deep.
+    The scalar c makes s_j(a) = 0, or ∂_y s_j(a) = 0 when ``slope``.
     """
-    if j < 1:
-        raise ValueError("order must be positive")
-    for i in range(j):
-        prev = family(i, a)
     # -I_y y^l = -y^(l+2) / ((l+1)(l+2)), over one lcm M; then c y cancels
-    # the top value Σ n_l a^(l+2), or the top slope Σ (l+2) n_l a^(l+1)
-    M = math.lcm(*((e[0] + 1) * (e[0] + 2) for e in prev.nums))
-    den = prev.den * M
-    nums, top = {}, 0
-    if a is None:
-        for (l, k), c in prev.nums.items():
-            n = -c * (M // ((l + 1) * (l + 2)))
-            nums[l + 2, k] = n
-            top += n * (l + 2 if slope else 1)
-        # s_{j-1} is homogeneous of degree d in (y, a), so c is a multiple of a^(d+1)
-        d = sum(next(iter(prev.nums)))
-        nums[1, d + 1] = -top
-        return reduced(2, den, nums)
-    # a^(l+1) at a = p/q is p^(l+1) q^(hi-l-1) over q^hi
-    p, q = a.numerator, a.denominator
-    hi = max(prev.nums)[0] + 1
-    scale = q ** hi
-    for (l,), c in prev.nums.items():
+    # the top value Σ n_l a^(l+2), or the top slope Σ (l+2) n_l a^(l+1),
+    # where a^(l+1) is p^(l+1) q^(hi-l-1) over q^hi, its two factors
+    # tabulated once for the step
+    nums = prev.nums
+    M = math.lcm(*((e[0] + 1) * (e[0] + 2) for e in nums))
+    hi = max(nums)[0] + 1
+    ps, qs = [p], [1]
+    for _ in range(hi - 1):
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
+    scale = qs[-1] * q
+    out, top = {}, 0
+    for (l,), c in nums.items():
         n = -c * (M // ((l + 1) * (l + 2)))
-        nums[l + 2,] = n * scale
-        top += n * (l + 2 if slope else 1) * p ** (l + 1) * q ** (hi - l - 1)
-    nums[1,] = -top
-    return reduced(1, den * scale, nums)
+        out[l + 2,] = n * scale
+        top += n * (l + 2 if slope else 1) * ps[l] * qs[hi - l - 1]
+    out[1,] = -top
+    return reduced(1, prev.den * M * scale, out)
+
+
+# members held per family, over all its widths, before whole widths are evicted
+_MAX_MEMBERS = 1024
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def family(module: str, name: str, first: dict[tuple[int, int], int], slope: bool = False) -> Family:
+    """The y-family seeded with ``first`` = {(l, k): c}, s_0 = Σ c y^l a^k.
+
+    s_j(a) = 0 is its top condition, or ∂_y s_j(a) = 0 when ``slope``.  The
+    family keeps one list [s_0, s_1, ...] per width p/q, grown in order by
+    ``member``, so a cold s_j takes j steps and no lookups.  A lookup is a
+    hit when s_j is already stored.  When more than ``_MAX_MEMBERS`` members
+    are held, the least recently used widths are dropped whole, never the
+    one in use.  The symbolic width is read from the unit-width list: every
+    member is homogeneous in (y, a), s_j = Σ c_l y^l a^(d-l) with c_l its
+    y^l coefficient at a = 1 and d = 2j + deg s_0.  A lookup holds the
+    family's lock, so threads can share it.
+    """
+    lists: dict[tuple[int, int], list[Poly]] = {}  # least recently used width first
+    degree = sum(next(iter(first)))
+    hits = misses = held = 0
+    last = None  # the width of the latest lookup, already at the end of lists
+    lock = threading.Lock()  # one thread at a time reads, grows or evicts
+
+    def get(j: int, a: Width) -> Poly:
+        nonlocal hits, misses, held, last
+        if a is None:
+            s = get(j, Fraction(1))
+            d = 2 * j + degree
+            return reduced(2, s.den, {(l, d - l): c for (l,), c in s.nums.items()})
+        if j < 0:
+            raise ValueError("order must be non-negative")
+        key = a.numerator, a.denominator
+        with lock:
+            members = lists.get(key)
+            if members is not None and j < len(members):
+                hits += 1
+                if key != last:
+                    lists[key] = lists.pop(key)
+                    last = key
+                return members[j]
+            misses += 1
+            if members is None:
+                members = [seed(*key, first)]
+                held += 1
+            else:
+                del lists[key]
+            lists[key], last = members, key
+            p, q = key
+            count = len(members)
+            while len(members) <= j:
+                members.append(member(members[-1], p, q, slope))
+            held += len(members) - count
+            while held > _MAX_MEMBERS and len(lists) > 1:
+                held -= len(lists.pop(next(iter(lists))))
+            return members[j]
+
+    def cache_info() -> _CacheInfo:
+        return _CacheInfo(hits, misses, _MAX_MEMBERS, held)
+
+    def cache_clear() -> None:
+        nonlocal hits, misses, held, last
+        with lock:
+            lists.clear()
+            hits = misses = held = 0
+            last = None
+
+    get.__module__, get.__name__, get.__qualname__ = module, name, name
+    get.cache_info, get.cache_clear = cache_info, cache_clear
+    return get
 
 
 def quotient(name: str, j: int) -> tuple[int, int]:

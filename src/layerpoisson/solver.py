@@ -84,20 +84,23 @@ class SolutionReport(_Record):
         }
 
 
-def _traces(p: Poly, problem: LayerProblem) -> tuple[Poly, Poly]:
-    """The boundary traces the problem's kind prescribes: p at y=0, and p or ∂p/∂y at y=a."""
+def _traces(p: Poly, problem: LayerProblem) -> Poly:
+    """The top trace the problem's kind prescribes: p or ∂p/∂y at y=a.
+
+    The particular solution needs no lower trace: each of its terms has a
+    y exponent of at least 2, so it is 0 at y=0.
+    """
     y = problem.n
     top = p if problem.kind == "dirichlet" else p.diff(y)
-    return p.subs(y, 0), top.subs(y, problem.a)
+    return top.subs(y, problem.a)
 
 
 def solve(problem: LayerProblem) -> SolutionReport:
     """Unique polynomial solution of the layer problem, with certification."""
     n, a = problem.n, problem.a
     tilde = inv_laplacian(problem.rhs, n)
-    tilde_lower, tilde_upper = _traces(tilde, problem)
-    lower_corr = problem.lower - tilde_lower
-    upper_corr = problem.upper - tilde_upper
+    lower_corr = problem.lower
+    upper_corr = problem.upper - _traces(tilde, problem)
     if problem.kind == "dirichlet":
         lower, upper = dirichlet.basis_v(lower_corr, n, a), dirichlet.basis_u(upper_corr, n, a)
     else:

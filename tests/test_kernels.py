@@ -18,6 +18,7 @@ y swapped, is checked against the ``Fraction`` loop that computed it.
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerpoisson import dirichlet, mixed
-from layerpoisson.parsing import PolyParseError, parse_expr
+from layerpoisson.parsing import PolyParseError, parse_expr, parse_poly
 from layerpoisson.particular import inv_laplacian, inv_laplacian_monomial_alt
 from layerpoisson.polyring import Poly, to_latex, to_text
 from layerpoisson.series import correction, quotient
@@ -703,3 +704,42 @@ def test_correction_on_large_content_matches_fraction_reference(name, case, a):
     family = FAMILIES[name]
     g = Poly(n + 1, terms)
     assert correction(family, g, n, a).terms == ref_correction(family, g.terms, n, a)
+
+
+# -- a variable power is one token -------------------------------------------
+
+
+@pytest.mark.parametrize("text, allow", [
+    ("x1 ^ 2", False),
+    ("x1^-1", True),
+    ("x1^-1", False),
+    ("x1^2^3", False),
+    ("x1^2.5", False),
+    ("1 x1^2", False),
+    ("x1^0", False),
+    ("z^2", False),
+    ("2*y ^\n3 - a^2*x1^3", False),
+    ("1/x1^2", False),
+    ("2^y^2", False),
+])
+def test_fused_variable_power_matches_reference(text, allow):
+    assert parsed(parse_expr, text, allow) == parsed(ref_parse_expr, text, allow)
+
+
+def test_fused_variable_power_keeps_error_positions():
+    # the float is refused at its own digits, and an unexpected power is named by its variable
+    assert parsed(parse_expr, "x1^2.5", False) == ("floating-point literals are not accepted (at position 3)", 3)
+    assert parsed(parse_expr, "1 x1^2", False) == ("unexpected 'x1' (at position 2)", 2)
+    with pytest.raises(PolyParseError, match="unknown variable 'z'") as exc:
+        parse_poly("z^2", 1)
+    assert exc.value.position == 0
+    assert parse_poly("x^2", 1) == parse_poly("x1 ^ 2", 1) == ref_parse_expr("x1^2", ("x1", "y"), False)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no integer string-conversion limit")
+def test_fused_variable_power_with_an_overlong_exponent_is_refused_at_the_exponent():
+    text = "y + x1 ^ " + "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(PolyParseError, match="integer literal too long") as exc:
+        parse_expr(text, XYA)
+    assert exc.value.position == 9

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerpoisson.particular import (
     inv_laplacian,
@@ -92,3 +93,17 @@ def test_random_linearity():
         assert inv_laplacian(alpha * p + beta * q, n) == (
             alpha * inv_laplacian(p, n) + beta * inv_laplacian(q, n)
         )
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(*[st.integers(0, 6)] * (n + 1)),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+                    max_size=6))))
+@settings(max_examples=100, deadline=None)
+def test_inv_laplacian_has_no_y0_or_y1_term(case):
+    # every image I_y^(j+1) y^m has y exponent m + 2j + 2, so the particular
+    # solution vanishes at y=0 and solve needs no lower trace of it
+    n, terms = case
+    u = inv_laplacian(Poly(n + 1, terms), n)
+    assert all(exp[n] >= 2 for exp in u.nums)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerpoisson import dirichlet, mixed
+from layerpoisson import dirichlet, mixed, series
 from layerpoisson.parsing import parse_expr
 from layerpoisson.polyring import Poly, lift
 
@@ -86,4 +86,92 @@ def test_a_cold_member_is_built_without_deep_recursion():
         mixed._e(150, Fraction(7, 3))
     finally:
         sys.setrecursionlimit(limit)
+        _clear_family_caches()
+
+
+# -- the store: one list per width, grown in order, bounded by whole widths
+
+
+def test_each_family_reports_its_module_and_its_lookups():
+    for name, (family, _, _) in FAMILIES.items():
+        module = dirichlet if name.startswith("c") else mixed
+        assert family.__module__ == module.__name__
+    _clear_family_caches()
+    try:
+        a = Fraction(7, 3)
+        dirichlet._c(5, a)
+        dirichlet._c(3, a)
+        dirichlet._c(5, a)
+        info = dirichlet._c.cache_info()
+        # a hit is a member already stored; a cold s_5 is one miss, not six
+        assert (info.hits, info.misses) == (2, 1)
+    finally:
+        _clear_family_caches()
+
+
+def _counted_steps(monkeypatch):
+    steps = []
+    step = series.member
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(series, "member", counted)
+    return steps
+
+
+def test_a_cold_member_past_the_bound_takes_one_step_per_order(monkeypatch):
+    a = Fraction(7, 3)
+    _clear_family_caches()
+    expected = dirichlet._c(24, a)
+    _clear_family_caches()
+    monkeypatch.setattr(series, "_MAX_MEMBERS", 16)
+    steps = _counted_steps(monkeypatch)
+    try:
+        assert dirichlet._c(24, a) == expected
+    finally:
+        _clear_family_caches()
+    assert len(steps) == 24
+
+
+def test_alternating_widths_under_the_bound_gives_fresh_members(monkeypatch):
+    widths = (Fraction(1, 2), Fraction(7, 3))
+    fresh = {}
+    for a in widths:
+        _clear_family_caches()
+        fresh[a] = [mixed._e(j, a) for j in range(13)]
+    _clear_family_caches()
+    monkeypatch.setattr(series, "_MAX_MEMBERS", 16)
+    try:
+        for _ in range(3):
+            for a in widths:
+                for j in (12, 3, 0, 7):
+                    assert mixed._e(j, a) == fresh[a][j]
+        # 13 members of each width do not fit in 16, so only one width is held
+        assert mixed._e.cache_info().currsize == 13
+    finally:
+        _clear_family_caches()
+
+
+def test_threads_growing_one_family_get_the_members_of_a_serial_build():
+    # more threads than cores, switching often: a member appended twice or
+    # out of order would shift every later member of the list
+    from concurrent.futures import ThreadPoolExecutor
+
+    a = Fraction(7, 3)
+    orders = [29, 7, 18, 29, 3, 25, 12, 0] * 4
+    _clear_family_caches()
+    serial = [dirichlet._c_flip(j, a) for j in range(30)]
+    _clear_family_caches()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(dirichlet._c_flip, j, a) for j in orders]
+            got = [f.result(timeout=60) for f in futures]
+        assert got == [serial[j] for j in orders]
+        assert [dirichlet._c_flip(j, a) for j in range(30)] == serial
+    finally:
+        sys.setswitchinterval(interval)
         _clear_family_caches()
