@@ -11,14 +11,28 @@ accumulated once, by ``poly_sum``.  A variable power ``name ^ digits`` is
 one token, read by the tokenizer's one pass and built as one monomial.
 Any other single monomial also takes any integer power in one step; a
 negative exponent is allowed only on a single monomial, and only when the
-caller asks for it.  In ``parse_poly`` with n = 1, ``x``
+caller asks for it.  A monomial x_i^e is built once per ring size and
+shared, since a ``Poly`` is immutable; ``parse_poly`` likewise builds the
+name map of each dimension once.  In ``parse_poly`` with n = 1, ``x``
 is an alias of ``x1``.  Parentheses nest at most ``MAX_NESTING`` deep; a
 deeper group is a ``PolyParseError`` at its opening parenthesis.
+
+No number the parser returns has more digits than Python's limit on
+converting an int to text, ``sys.get_int_max_str_digits()`` (0 is no
+limit), so everything parsed can be printed.  A literal past it is a
+``PolyParseError`` at its digits; a power of a number, at its ``^``, before
+it is computed, once a lower bound on its digits from the bit length of
+the base passes the limit; and a coefficient of the result, a product of
+literals for example, at position 0 when its numerator or denominator in
+lowest terms has more digits than the limit.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .polyring import Poly, Ring, poly_sum, reduced
@@ -50,6 +64,17 @@ def _int(digits: str, at: int) -> int:
         return int(digits)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise PolyParseError("integer literal too long", at) from None
+
+
+def _max_digits() -> int:
+    """The interpreter's limit on the digits of an int converted to text; 0 is no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+@lru_cache(maxsize=1024)  # a Poly is immutable, so one monomial serves every parse
+def _monomial(nvars: int, slot: int, e: int) -> Poly:
+    """The monomial x_slot^e in a ring of nvars variables."""
+    return reduced(nvars, 1, {(0,) * slot + (e,) + (0,) * (nvars - slot - 1): 1})
 
 
 def _tokenize(text: str) -> list[tuple[str | None, object, int]]:
@@ -119,6 +144,14 @@ class _Parser:
         if kind is not None:
             m = _TOKEN_RE.match(self.text, at)
             raise PolyParseError(f"unexpected {m[3] or m[m.lastindex]!r}", at)
+        limit = _max_digits()
+        # 10^limit has more than 3*limit bits, so no shorter number can reach it
+        if limit and max(map(int.bit_length, (p.den, *p.nums.values()))) > 3 * limit:
+            top = 10 ** limit
+            for c in p.nums.values():
+                g = math.gcd(c, p.den)
+                if abs(c) // g >= top or p.den // g >= top:
+                    raise PolyParseError(f"coefficient has more than {limit} digits", 0)
         return p
 
     def expr(self) -> Poly:
@@ -156,6 +189,11 @@ class _Parser:
             exp, den = tuple(v * e for v in exp), p.den
             if e < 0:
                 num, den, e = den, num, -e
+            # base^e >= 2^(e*(b-1)), so it has more than e*(b-1)*0.30102 digits
+            b = max(num.bit_length(), den.bit_length())
+            limit = _max_digits()
+            if limit and e * (b - 1) * 30102 // 100000 >= limit:
+                raise PolyParseError(f"power has more than {limit} digits", at)
             return reduced(self.nvars, den ** e, {exp: num ** e})
         if e < 0:
             raise PolyParseError("negative exponent requires a single monomial base", at)
@@ -173,7 +211,7 @@ class _Parser:
         i = self.slots.get(name)
         if i is None:
             raise PolyParseError(f"unknown variable {name!r}", at)
-        return reduced(self.nvars, 1, {(0,) * i + (e,) + (0,) * (self.nvars - i - 1): 1})
+        return _monomial(self.nvars, i, e)
 
     def atom(self) -> Poly:
         kind, value, at = self.take()
@@ -213,7 +251,13 @@ def parse_poly(expr: str, n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("spatial dimension must be at least 1")
+    return _Parser(expr, _ring_slots(n), n + 1, False).parse()
+
+
+@lru_cache(maxsize=8)  # the parser only reads the map, so one serves every parse
+def _ring_slots(n: int) -> dict[str, int]:
+    """Variable name -> slot in the ring x1..xn, y, with x an alias of x1 when n = 1."""
     slots = {name: i for i, name in enumerate(Ring(n).names)}
     if n == 1:
         slots["x"] = 0
-    return _Parser(expr, slots, n + 1, False).parse()
+    return slots

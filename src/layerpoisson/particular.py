@@ -13,11 +13,13 @@ has total degree deg(P) + 2.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .polyring import Poly, Ring, lift, reduced
 from .series import apply_dx_series, normalize_index
 
 
+@lru_cache(maxsize=1024)  # a Poly is immutable, so one image serves every call
 def _integrate_y(j: int, m: int) -> Poly:
     """(-1)^j I_y^(j+1) y^m = (-1)^j m!/(m+2j+2)! y^(m+2j+2), a Poly in y."""
     e = m + 2 * j + 2

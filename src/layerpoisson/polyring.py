@@ -361,13 +361,25 @@ def reduced(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
 
 
 def poly_sum(nvars: int, polys: Sequence[Poly]) -> Poly:
-    """The sum of polys, accumulated once over the lcm of their denominators."""
-    den = math.lcm(*(p.den for p in polys))
-    out: dict[Exponent, int] = {}
-    for p in polys:
-        scale = den // p.den
-        for exp, c in p.nums.items():
-            out[exp] = out.get(exp, 0) + c * scale
+    """The sum of polys, accumulated once over the lcm of their denominators.
+
+    The accumulator starts as a copy of the operand with the most terms,
+    scaled to the common denominator, and the other operands are added to
+    it term by term.
+    """
+    if not polys:
+        return reduced(nvars, 1, {})
+    den = math.lcm(*[p.den for p in polys])
+    sizes = [len(p.nums) for p in polys]
+    first = sizes.index(max(sizes))
+    seed = polys[first]
+    scale = den // seed.den
+    out = dict(seed.nums) if scale == 1 else {exp: c * scale for exp, c in seed.nums.items()}
+    for i, p in enumerate(polys):
+        if i != first:
+            scale = den // p.den
+            for exp, c in p.nums.items():
+                out[exp] = out.get(exp, 0) + c * scale
     return reduced(nvars, den, out)
 
 
@@ -383,7 +395,7 @@ def second_partials(nums: Mapping[Exponent, int], count: int) -> dict[Exponent, 
                 k = tuple(key)
                 key[var] = e
                 out[k] = out.get(k, 0) + c * (e * (e - 1))
-    return {exp: c for exp, c in out.items() if c}
+    return {exp: c for exp, c in out.items() if c} if 0 in out.values() else out
 
 
 def lift(p: Poly, nvars: int, positions: Sequence[int | None]) -> Poly:

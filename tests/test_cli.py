@@ -247,6 +247,29 @@ def test_overlong_integer_literal_is_one_line_usage_error(capsys):
     assert captured.err == "error: cannot parse rhs: integer literal too long (at position 0)\n"
 
 
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", int)() != 4300,
+                    reason="the inputs are sized for the default limit of 4300 digits")
+@pytest.mark.parametrize("flag, text, error", [
+    ("--rhs", "10^5000", "rhs: power has more than 4300 digits (at position 2)"),
+    ("--rhs", "(10^2000)^3*x", "rhs: power has more than 4300 digits (at position 9)"),
+    ("--rhs", "10^2000*10^2000*10^2000*x", "rhs: coefficient has more than 4300 digits (at position 0)"),
+    ("--solution", "(10^2000)^3*x", "solution: power has more than 4300 digits (at position 9)"),
+], ids=["power", "power-of-a-group", "product", "verify"])
+def test_number_past_the_digit_limit_is_one_line_usage_error(flag, text, error, capsys):
+    # printing such a number raises ValueError, an internal error with exit 3, so the
+    # parser refuses it as bad input
+    args = list(EXAMPLE_1_ARGS)
+    if flag == "--solution":
+        args[0] = "verify"
+        args += [flag, text]
+    else:
+        args[args.index(flag) + 1] = text
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse " + error + "\n"
+
+
 def test_deeply_nested_parentheses_are_one_line_usage_error(capsys):
     args = list(EXAMPLE_1_ARGS)
     args[args.index("--rhs") + 1] = "(" * 400 + "x" + ")" * 400

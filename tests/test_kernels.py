@@ -6,7 +6,8 @@ derivative, the Laplacian, substitution, the particular solution and the
 harmonic corrections) computes on those integers, as do its readers (text
 and LaTeX rendering, JSON, exact and float evaluation).  Each is checked
 here against a term-by-term ``Fraction`` loop written in this file, on
-random polynomials.  The parser, which builds that form directly, is
+random polynomials; ``poly_sum`` and ``second_partials`` also on sums and
+Laplacians built to cancel.  The parser, which builds that form directly, is
 checked against the parser as it was when it built a ``Poly`` per atom, on
 random expressions.  The y-family generator, which forms scalar quotients
 and family members as integer numerator/denominator pairs, is checked
@@ -28,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from layerpoisson import dirichlet, mixed
 from layerpoisson.parsing import PolyParseError, parse_expr, parse_poly
 from layerpoisson.particular import inv_laplacian, inv_laplacian_monomial_alt
-from layerpoisson.polyring import Poly, to_latex, to_text
+from layerpoisson.polyring import Poly, poly_sum, second_partials, to_latex, to_text
 from layerpoisson.series import correction, quotient
 
 FAMILIES = {"c": dirichlet._c, "c_flip": dirichlet._c_flip, "d": mixed._d, "e": mixed._e}
@@ -236,6 +237,95 @@ def test_scalar_product_and_quotient_match_reference(terms, r):
 def test_polynomial_product_matches_reference(p_terms, q_terms):
     p, q = Poly(3, p_terms), Poly(3, q_terms)
     assert (p * q).terms == ref_mul(p.terms, q.terms)
+
+
+def check_poly_sum(maps):
+    """poly_sum of Polys made from maps against the Fraction sum; no operand is changed or shared."""
+    polys = [Poly(3, m) for m in maps]
+    before = [dict(p.nums) for p in polys]
+    got = poly_sum(3, polys)
+    expected = {}
+    for m in maps:
+        expected = ref_add(expected, m)
+    assert got.terms == expected
+    assert [p.nums for p in polys] == before
+    assert all(got.nums is not p.nums for p in polys)
+
+
+# copies[k] = (i, j, c): operand j is replaced by c times operand i, so that
+# operands tie in size, sums cancel (c = -1), and the largest operand can sit
+# over a denominator below the common one (c = 1/3 or -5/2)
+@given(st.lists(laurent_terms, max_size=5),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                          st.sampled_from([-1, 1, Fraction(1, 3), Fraction(-5, 2)])), max_size=3),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_poly_sum_matches_reference(maps, copies, rnd):
+    for i, j, c in copies:
+        if i < len(maps) and j < len(maps):
+            maps[j] = ref_scale(maps[i], c)
+    rnd.shuffle(maps)
+    check_poly_sum(maps)
+
+
+SUM_BIG = {(4, 1, 0): Fraction(1, 2), (3, 2, -1): Fraction(-7, 3), (0, 5, 2): Fraction(5)}  # den 6
+SUM_SMALL = {(4, 1, 0): Fraction(-1, 2), (1, 1, 1): Fraction(3, 10)}  # den 10, so SUM_BIG is scaled by 5
+
+
+@pytest.mark.parametrize("at", range(5))
+@pytest.mark.parametrize("others", [
+    [],
+    [SUM_SMALL],
+    [SUM_SMALL, {(0, 0, 0): Fraction(1, 7)}, ref_scale(SUM_SMALL, -1), {}],
+    [{exp: -c for exp, c in SUM_BIG.items()}],  # cancels to zero
+    [ref_scale(SUM_BIG, Fraction(-1, 2)), ref_scale(SUM_BIG, Fraction(-1, 2))],  # ties, sum zero
+], ids=["alone", "two", "five", "cancel", "ties"])
+def test_poly_sum_with_its_largest_operand_anywhere(at, others):
+    maps = list(others)
+    maps.insert(min(at, len(maps)), SUM_BIG)
+    check_poly_sum(maps)
+
+
+def test_poly_sum_of_nothing_is_zero():
+    assert poly_sum(3, []) == Poly.zero(3)
+    assert poly_sum(3, [Poly.zero(3), Poly.zero(3)]) == Poly.zero(3)
+
+
+def cancelling_maps(n):
+    """Integer maps over x1..xn, y with pairs c*x_u^2*m - c*x_v^2*m added, whose u and v
+    second partials cancel, since m has the same exponent at u and v."""
+    count = n + 1
+    pair = st.tuples(st.integers(0, n), st.integers(0, n), st.integers(-9, 9).filter(bool),
+                     st.tuples(*[EXP] * count), st.integers(0, 3))
+    free = st.dictionaries(st.tuples(*[EXP] * count), st.integers(-9, 9), max_size=6)
+
+    def build(args):
+        terms, pairs = args
+        out = dict(terms)
+        for u, v, c, m, e in pairs:
+            m = list(m)
+            m[u] = m[v] = e
+            for var, sign in ((u, 1), (v, -1)):
+                key = tuple(m[i] + 2 * (i == var) for i in range(count))
+                out[key] = out.get(key, 0) + sign * c
+        return {exp: c for exp, c in out.items() if c}
+
+    return st.tuples(free, st.lists(pair, min_size=1, max_size=4)).map(build)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), cancelling_maps(n))))
+@settings(max_examples=150, deadline=None)
+def test_second_partials_drops_cancelled_numerators(case):
+    n, nums = case
+    out = second_partials(nums, n + 1)
+    assert 0 not in out.values()
+    assert out == ref_second_partials(nums, n + 1)
+
+
+def test_second_partials_of_a_harmonic_map_is_empty():
+    # 3*x1^2*y - y^3: the x1 and y second partials of the two terms cancel
+    assert second_partials({(2, 1): 3, (0, 3): -1}, 2) == {}
+    assert second_partials({(2, 0, 4): 5, (0, 2, 4): -5}, 2) == {}
 
 
 @given(laurent_terms, st.sampled_from([0, 1, 2]), st.integers(0, 3))

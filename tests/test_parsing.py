@@ -1,7 +1,12 @@
+import sys
+import time
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerpoisson.parsing import MAX_NESTING, PolyParseError, parse_expr, parse_poly
-from layerpoisson.polyring import Poly
+from layerpoisson.polyring import Poly, to_text
 
 from conftest import P, XY, X3Y
 
@@ -94,3 +99,74 @@ def test_large_dimension_builds_the_exponents_of_the_names_used():
     p = parse_poly("x4999*y", 5000)
     assert p.nvars == 5001 and p.den == 1
     assert p.nums == {(0,) * 4998 + (1, 0, 1): 1}
+
+
+# the interpreter's limit on the digits of an int converted to text (4300 by default)
+LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+needs_limit = pytest.mark.skipif(not LIMIT, reason="the interpreter has no integer string-conversion limit")
+HALF = LIMIT // 2 + 1  # two factors of 10^HALF make more than LIMIT digits
+
+
+def _refused(text):
+    """The message and position of the parse error text raises."""
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly(text, 1)
+    return str(exc.value), exc.value.position
+
+
+@needs_limit
+@pytest.mark.parametrize("text, what, position", [
+    (f"10^{LIMIT + 700}", "power", 2),
+    (f"(10^{HALF})^3*x", "power", len(f"(10^{HALF})")),
+    (f"x + (1/10)^{LIMIT + 1000}", "power", len("x + (1/10)")),
+    (f"x + (1/10)^{LIMIT}", "coefficient", 0),
+    (f"(10^{HALF}*x)^2", "power", len(f"(10^{HALF}*x)")),
+    (f"10^{HALF}*10^{HALF}*10^{HALF}*x", "coefficient", 0),
+    (f"10^{LIMIT}", "coefficient", 0),
+    (f"1/9*x*(10^{HALF} + y)^2", "coefficient", 0),
+], ids=["power", "power-of-a-group", "denominator", "denominator-at-the-limit", "power-of-a-monomial",
+        "product", "limit", "power-of-a-sum"])
+def test_number_past_the_digit_limit_is_a_parse_error(text, what, position):
+    assert _refused(text) == (f"{what} has more than {LIMIT} digits (at position {position})", position)
+
+
+@needs_limit
+def test_huge_power_of_a_number_is_refused_before_it_is_computed():
+    start = time.perf_counter()
+    assert _refused("2^100000000*x") == (f"power has more than {LIMIT} digits (at position 1)", 1)
+    assert time.perf_counter() - start < 1.0  # computing 2^100000000 takes about a second
+
+
+@needs_limit
+def test_numbers_up_to_the_digit_limit_parse_and_render():
+    assert to_text(parse_poly(f"10^{LIMIT - 1}", 1), ("x1", "y")) == "1" + "0" * (LIMIT - 1)
+    assert to_text(parse_poly(f"-(1/10)^{LIMIT - 1}*x", 1), ("x1", "y")) == f"-1/1{'0' * (LIMIT - 1)}*x1"
+    # in lowest terms: the numerator stored over the common denominator 11 has LIMIT + 1 digits
+    p = parse_poly(f"1/11*x + 10^{LIMIT - 1}*y", 1)
+    assert p.den == 11 and p.nums[0, 1] >= 10 ** LIMIT
+    assert p.terms == {(1, 0): Fraction(1, 11), (0, 1): 10 ** (LIMIT - 1)}
+    assert to_text(p, ("x1", "y")).endswith("+ 1" + "0" * (LIMIT - 1) + "*y")
+
+
+@needs_limit
+@given(st.integers(2, 10 ** 12), st.integers(1, 10 ** 6), st.integers(0, 5000))
+@settings(max_examples=100, deadline=None)
+def test_power_of_a_number_is_refused_exactly_past_the_digit_limit(p, q, e):
+    r = Fraction(p, q) ** e
+    fits = max(abs(r.numerator), r.denominator) < 10 ** LIMIT
+    try:
+        got = parse_poly(f"({p}/{q})^{e}", 1)
+    except PolyParseError as exc:
+        assert not fits, str(exc)
+    else:
+        assert fits
+        assert got.constant_value() == r
+
+
+@needs_limit
+def test_a_limit_of_zero_refuses_nothing():
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_poly(f"10^{LIMIT}*x", 1).nums == {(1, 0): 10 ** LIMIT}
+    finally:
+        sys.set_int_max_str_digits(LIMIT)
