@@ -322,7 +322,8 @@ class Poly:
         return {
             "nvars": self.nvars,
             "terms": [
-                {"exp": list(exp), "coeff": f"{num}/{den}" if den != 1 else str(num)}
+                {"exp": list(exp),
+                 "coeff": f"{_decimal(num)}/{_decimal(den)}" if den != 1 else _decimal(num)}
                 for exp, num, den in self._ordered()
             ],
         }
@@ -345,9 +346,29 @@ _set_nvars, _set_den, _set_nums = (Poly.__dict__[name].__set__ for name in Poly.
 
 def as_scalar(value) -> Fraction:
     """An exact rational scalar as a Fraction; float, bool and other types are refused."""
+    if value.__class__ is Fraction:  # immutable, so it is returned as it is
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an exact rational scalar, not {type(value).__name__}")
     return Fraction(value)
+
+
+def _decimal(i: int) -> str:
+    """i in decimal, however many digits it has.
+
+    ``str`` refuses an int with more digits than ``sys.get_int_max_str_digits()``;
+    such an int is split by a power of ten into two halves, each written
+    the same way.  The interpreter-wide limit is never changed.
+    """
+    try:
+        return str(i)
+    except ValueError:  # more digits than the limit, which is at least 640
+        pass
+    if i < 0:
+        return "-" + _decimal(-i)
+    half = i.bit_length() * 30103 // 200000  # b bits are about 0.30103 b digits
+    high, low = divmod(i, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def reduced(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
@@ -455,6 +476,11 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+# the largest spatial dimension that parse_poly and LayerProblem accept: every
+# term carries an exponent tuple of n + 1 entries, and the parser n + 1 names
+MAX_DIMENSION = 100_000
+
+
 class Ring(_Record):
     """Variable layout for a layer of spatial dimension ``n``.
 
@@ -537,7 +563,7 @@ def _render(p: Poly, names: Sequence[str], latex: bool) -> str:
             if e != 0
         )
         mag = abs(num)
-        number = ratio.format(mag, den) if den != 1 else str(mag)
+        number = ratio.format(_decimal(mag), _decimal(den)) if den != 1 else _decimal(mag)
         if not mono:
             body = number
         elif mag == den == 1:

@@ -215,28 +215,33 @@ def apply_dx_series(g: Poly, n: int, image: Image, nvars: int) -> Poly:
     the lcm L of their reduced denominators.  So the sum is accumulated in
     integers over g.den*L, and ``reduced`` finds only a small gcd.
     """
-    powers = []  # (k_j, h_j)
-    h, k = g.nums, 1
+    powers = []  # (h_j, {m: (numerators of T_j y^m, its den / r, k_j / r)}), r = gcd(k_j, den)
+    dens = set()  # the reduced image denominators, whose lcm is L
+    h, k, j = g.nums, 1, 0
     while h:
         c = math.gcd(*h.values())
         if c != 1:
             h, k = {exp: v // c for exp, v in h.items()}, k * c
-        powers.append((k, h))
-        h = second_partials(h, n)
-    used = {}  # (j, m) -> (numerators of T_j y^m, its den / r, k_j / r), r = gcd(k_j, den)
-    for j, (k, h) in enumerate(powers):
+        used = {}
         for m in {e[n] for e in h}:
             t = image(j, m)
             r = math.gcd(k, t.den)
-            used[j, m] = t.nums, t.den // r, k // r
-    L = math.lcm(*{d for _, d, _ in used.values()})
-    scaled = {key: [(tail, q * f * (L // d)) for tail, q in nums.items()]
-              for key, (nums, d, f) in used.items()}
+            d = t.den // r
+            used[m] = t.nums, d, k // r
+            dens.add(d)
+        powers.append((h, used))
+        h = second_partials(h, n)
+        j += 1
+    L = math.lcm(*dens)
     out: dict[Exponent, int] = {}
-    for j, (_, h) in enumerate(powers):
+    for h, used in powers:
+        scaled = {}
+        for m, (nums, d, f) in used.items():
+            f *= L // d
+            scaled[m] = [(tail, q * f) for tail, q in nums.items()]
         for exp, c in h.items():
             x = exp[:n]
-            for tail, q in scaled[j, exp[n]]:
+            for tail, q in scaled[exp[n]]:
                 key = x + tail
                 out[key] = out.get(key, 0) + c * q
     return reduced(nvars, g.den * L, out)

@@ -14,12 +14,13 @@ both boundary traces together.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Literal
 
 from . import dirichlet, mixed
 from .particular import inv_laplacian
-from .polyring import Poly, Ring, _Record, as_scalar, lift, poly_sum, reduced
+from .polyring import MAX_DIMENSION, Poly, Ring, _Record, as_scalar, lift, poly_sum, reduced
 from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
@@ -31,7 +32,7 @@ class LayerProblem(_Record):
     ``lower`` is the prescribed value at y=0.  ``upper`` is the value at
     y=a for a Dirichlet problem, or the y-derivative at y=a for a mixed
     problem.  All three data polynomials live in the ring x1..xn, y; the
-    boundary polynomials must not involve y.
+    boundary polynomials must not involve y.  n is at most ``MAX_DIMENSION``.
     """
 
     _fields = ("n", "a", "rhs", "kind", "lower", "upper")
@@ -39,12 +40,14 @@ class LayerProblem(_Record):
     def __init__(self, n: int, a: Fraction, rhs: Poly, kind: Kind, lower: Poly, upper: Poly):
         if n < 1:
             raise ValueError("spatial dimension must be at least 1")
+        if n > MAX_DIMENSION:
+            raise ValueError(f"spatial dimension must be at most {MAX_DIMENSION}")
         if a is None:
             raise TypeError("a layer problem needs a rational width")
         a = width(a)
         if kind not in ("dirichlet", "mixed"):
             raise ValueError(f"unknown problem kind {kind!r}")
-        nvars = Ring(n).nvars
+        nvars = n + 1
         for name, p in (("rhs", rhs), ("lower", lower), ("upper", upper)):
             if not isinstance(p, Poly) or p.nvars != nvars:
                 raise ValueError(f"{name} must be a Poly in the ring x1..x{n}, y")
@@ -117,14 +120,13 @@ def solve(problem: LayerProblem) -> SolutionReport:
 def verify(u: Poly, problem: LayerProblem) -> SolutionReport:
     """Exact residuals of a candidate solution against the problem data."""
     n = problem.n
-    if u.nvars != problem.ring.nvars:
+    if u.nvars != n + 1:
         raise ValueError(f"solution must live in the ring x1..x{n}, y")
-    lap, lower, upper = _residual_parts(u, problem)
-    return SolutionReport(u, lap - problem.rhs, lower - problem.lower, upper - problem.upper)
+    return SolutionReport(u, *_residual_parts(u, problem))
 
 
 def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
-    """Δu, u at y=0, and u or ∂u/∂y at y=a, from one walk over the terms of u.
+    """Δu − rhs, u − lower at y=0, and u or ∂u/∂y minus upper at y=a, from one walk over u.
 
     The terms are grouped by their x part into {y exponent: numerator}
     maps, and Δu is accumulated in maps of the same shape.  A group gives
@@ -133,26 +135,32 @@ def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
     The exponent x + (e,) of a term of Δu is built only for the nonzero
     terms left after those sums.  At a = p/q the top trace is a sum over
     q^hi, hi the largest y exponent: c y^e contributes c p^e q^(hi-e) to
-    the value and c e p^(e-1) q^(hi-e+1) to the y-derivative.
+    the value and c e p^(e-1) q^(hi-e+1) to the y-derivative.  Each part
+    then has its data subtracted over one common denominator.
     """
     n, nums = problem.n, u.nums
     groups: dict[tuple[int, ...], dict[int, int]] = {}  # x part -> {y exponent: numerator}
+    hi = 0
     for exp, c in nums.items():
-        x = exp[:n]
+        x, e = exp[:n], exp[n]
+        if e > hi:
+            hi = e
+        elif e < 0:
+            raise ZeroDivisionError("substituting 0 into a negative power")
         group = groups.get(x)
         if group is None:
-            groups[x] = {exp[n]: c}
+            groups[x] = {e: c}
         else:
-            group[exp[n]] = c
-    ys = {exp[n] for exp in nums}
-    if ys and min(ys) < 0:
-        raise ZeroDivisionError("substituting 0 into a negative power")
-    hi = max(ys, default=0)
+            group[e] = c
     p, q = problem.a.numerator, problem.a.denominator
+    ps, qs = [1], [1]  # p^e and q^e for e = 0..hi
+    for _ in range(hi):
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
     if problem.kind == "dirichlet":
-        scale = [p ** e * q ** (hi - e) for e in range(hi + 1)]
+        scale = [pe * qs[hi - e] for e, pe in enumerate(ps)]
     else:
-        scale = [e * p ** (e - 1) * q ** (hi - e + 1) if e else 0 for e in range(hi + 1)]
+        scale = [e * ps[e - 1] * qs[hi - e + 1] if e else 0 for e in range(hi + 1)]
     lap: dict[tuple[int, ...], dict[int, int]] = {}  # x part -> {y exponent: numerator} of Δu
     lower, top = {}, {}
     for x, group in groups.items():
@@ -178,7 +186,20 @@ def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
                         out[e] = out.get(e, 0) + c * f
     nvars, den = u.nvars, u.den
     lap_nums = {x + (e,): c for x, out in lap.items() for e, c in out.items() if c}
-    return reduced(nvars, den, lap_nums), reduced(nvars, den, lower), reduced(nvars, den * q ** hi, top)
+    return (_minus(nvars, den, lap_nums, problem.rhs), _minus(nvars, den, lower, problem.lower),
+            _minus(nvars, den * qs[hi], top, problem.upper))
+
+
+def _minus(nvars: int, den: int, nums: dict[tuple[int, ...], int], data: Poly) -> Poly:
+    """Σ nums[exp]/den x^exp − data, accumulated in ``nums`` over the lcm of the denominators."""
+    common = math.lcm(den, data.den)
+    if common != den:
+        f = common // den
+        nums = {exp: c * f for exp, c in nums.items()}
+    f = common // data.den
+    for exp, c in data.nums.items():
+        nums[exp] = nums.get(exp, 0) - c * f
+    return reduced(nvars, common, nums)
 
 
 def rectangle_trace(u: Poly, x_edges: tuple[Fraction, Fraction]) -> tuple[Poly, Poly]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from layerpoisson import cli
 from layerpoisson.cli import main
 from layerpoisson.parsing import MAX_NESTING
+from layerpoisson.polyring import MAX_DIMENSION
 
 from conftest import P
 
@@ -359,3 +361,29 @@ def test_numcheck_without_numpy_is_one_error_line():
     assert cp.stdout == ""
     lines = cp.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numcheck needs numpy and scipy")
+
+
+def test_dimension_past_the_bound_is_one_line_usage_error(capsys):
+    start = time.perf_counter()
+    assert main(_solve_with_dim("1" + "0" * 19)) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: spatial dimension must be at most {MAX_DIMENSION}\n"
+
+
+def test_solution_coefficient_past_the_digit_limit_prints(capsys):
+    # the data fits the limit, but u = (y^2 - y) / (2*(10^digits - 1)) has a
+    # denominator of digits + 1 digits
+    digits = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    args = ["solve", "--dim", "1", "--width", "1", "--kind", "dirichlet",
+            "--rhs", "1/" + "9" * digits, "--lower", "0", "--upper", "0"]
+    den = "1" + "9" * (digits - 1) + "8"
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        f"solution: 1/{den}*y^2 - 1/{den}*y\nresidual_pde: 0\nresidual_lower: 0\n"
+        "residual_upper: 0\nverified: true\n")
+    assert main(["--output", "json"] + args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] is True
+    assert [t["coeff"] for t in report["solution"]["terms"]] == [f"1/{den}", f"-1/{den}"]

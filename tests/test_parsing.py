@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from layerpoisson import parsing
 from layerpoisson.parsing import MAX_NESTING, PolyParseError, parse_expr, parse_poly
-from layerpoisson.polyring import Poly, to_text
+from layerpoisson.polyring import MAX_DIMENSION, Poly, to_text
 
 from conftest import P, XY, X3Y
 
@@ -170,3 +171,13 @@ def test_a_limit_of_zero_refuses_nothing():
         assert parse_poly(f"10^{LIMIT}*x", 1).nums == {(1, 0): 10 ** LIMIT}
     finally:
         sys.set_int_max_str_digits(LIMIT)
+
+
+@pytest.mark.parametrize("n", [MAX_DIMENSION + 1, 10 ** 20])
+def test_dimension_past_the_bound_is_refused_before_any_name_is_built(n, monkeypatch):
+    def refused(n):
+        raise AssertionError("the names of the ring were built")
+
+    monkeypatch.setattr(parsing, "_ring_slots", refused)
+    with pytest.raises(ValueError, match=f"^spatial dimension must be at most {MAX_DIMENSION}$"):
+        parse_poly("x1 + y", n)

@@ -1,10 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerpoisson.polyring import Poly, Ring, lift, to_latex, to_text
+from layerpoisson.polyring import Poly, Ring, _decimal, lift, to_latex, to_text
 from layerpoisson.parsing import parse_expr
 
 from conftest import P, XY, XYA, YA
@@ -303,3 +304,43 @@ def test_laplacian_linear(p, q, alpha, beta):
 def test_serialize_parse_fixed_point(p):
     text = to_text(p, XY)
     assert to_text(parse_expr(text, XY), XY) == text
+
+
+needs_settable_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="the interpreter has no integer string-conversion limit")
+
+
+def _under_limit(limit, make):
+    """make() with the integer string-conversion limit set to limit, then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return make()
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@needs_settable_limit
+def test_coefficients_past_the_digit_limit_print_in_full():
+    # a 700-digit numerator over a 700-digit denominator, and integers of 1401
+    # and 2101 digits whose zeros cross the places where the digits are split
+    num, den = -(3 * 10 ** 699 + 1), 7 * 10 ** 699 + 9
+    p = Poly(2, {(2, 1): Fraction(num, den), (0, 1): 10 ** 1400 + 7, (0, 0): -(10 ** 2100)})
+    assert p.terms[(2, 1)] == Fraction(num, den)
+
+    def written():
+        return to_text(p, XY), to_latex(p, XY), json.dumps(p.to_json_dict())
+
+    expected = _under_limit(0, written)
+    den_digits = _under_limit(0, lambda: str(den))
+    assert len(den_digits) == 700 and all(den_digits in text for text in expected)
+    assert _under_limit(640, written) == expected
+
+
+@needs_settable_limit
+@pytest.mark.parametrize("k", [639, 640, 641, 1279, 1280, 1281, 4300, 9000])
+def test_decimal_writes_any_int_under_a_lowered_limit(k):
+    values = [sign * (10 ** k + d) for sign in (1, -1) for d in (-1, 0, 1)]
+    expected = _under_limit(0, lambda: [str(v) for v in values])
+    assert _under_limit(640, lambda: [_decimal(v) for v in values]) == expected

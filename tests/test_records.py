@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from layerpoisson import LayerProblem, Poly, Ring, SolutionReport, solve
+from layerpoisson.polyring import MAX_DIMENSION
 
 from conftest import P
 
@@ -166,3 +167,12 @@ def test_poly_refuses_deletion(name):
     with pytest.raises(AttributeError, match="Poly is immutable"):
         delattr(p, name)
     assert p == P("1/2*x1^2 - y") and p.den == 2
+
+
+def test_layer_problem_dimension_is_bounded():
+    n = MAX_DIMENSION
+    zero = Poly.zero(n + 1)
+    assert LayerProblem(n=n, a=1, rhs=zero, kind="dirichlet", lower=zero, upper=zero).n == n
+    zero = Poly.zero(n + 2)
+    with pytest.raises(ValueError, match=f"^spatial dimension must be at most {n}$"):
+        LayerProblem(n=n + 1, a=1, rhs=zero, kind="dirichlet", lower=zero, upper=zero)
