@@ -9,7 +9,6 @@ solution is not certified, 2 for any input error, 3 for an internal fault.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -17,7 +16,7 @@ from fractions import Fraction
 
 from . import dirichlet, mixed
 from .parsing import PolyParseError, parse_poly
-from .polyring import Poly, Ring, to_latex, to_text
+from .polyring import Poly, Ring, _json_text, to_latex, to_text
 from .solver import LayerProblem, SolutionReport, solve, verify
 
 OUTPUT_ENV_VAR = "LAYERPOISSON_OUTPUT"
@@ -42,6 +41,8 @@ _FLAGS = {"n": "dim", "a": "width", "kind": "kind", "rhs": "rhs", "lower": "lowe
 def _problem_spec(args) -> dict:
     """The six problem fields, from the --problem file or from the flags."""
     if args.problem:
+        import json  # here, not at the top: importing it costs a process about 1 ms
+
         try:
             with open(args.problem, encoding="utf-8") as fh:
                 spec = json.load(fh)
@@ -113,10 +114,18 @@ def _problem_from_args(args) -> LayerProblem:
         raise UsageError(str(exc)) from None
 
 
+def _report_json(report: SolutionReport) -> str:
+    """``json.dumps(report.to_json_dict(), indent=2)``, byte for byte."""
+    fields = (("solution", report.u), ("residual_pde", report.residual_pde),
+              ("residual_lower", report.residual_lower), ("residual_upper", report.residual_upper))
+    polys = "".join(f'\n  "{key}": {_json_text(p, 1)},' for key, p in fields)
+    return f'{{{polys}\n  "verified": {str(report.verified).lower()}\n}}'
+
+
 def _print_report(report: SolutionReport, n: int, fmt: str) -> None:
     names = Ring(n).names
     if fmt == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(_report_json(report))
         return
     render = to_latex if fmt == "latex" else to_text
     print(f"solution: {render(report.u, names)}")
@@ -155,6 +164,8 @@ def _cmd_tables(args) -> int:
     names = Ring(0, formal_a=True).names
     entries = [(m, gen(m)) for m in range(args.max_m + 1)]
     if args.output == "json":
+        import json
+
         payload = [
             {"m": m, "poly": p.to_json_dict(), "text": to_text(p, names)}
             for m, p in entries
@@ -181,6 +192,8 @@ def _cmd_numcheck(args) -> int:
             raise
         raise UsageError(f"numcheck needs numpy and scipy (the 'numcheck' extra): {exc}") from None
     if args.output == "json":
+        import json
+
         print(json.dumps([r.to_json_dict() for r in results], indent=2))
     else:
         for r in results:

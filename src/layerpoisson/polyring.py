@@ -314,9 +314,19 @@ class Poly:
     def _ordered(self) -> Iterator[tuple[Exponent, int, int]]:
         """(exp, num, den) per term in canonical order, graded lexicographic,
         highest first; num/den is the coefficient in lowest terms."""
-        for exp in sorted(self.nums, key=lambda e: (sum(e), e), reverse=True):
-            g = math.gcd(self.nums[exp], self.den)
-            yield exp, self.nums[exp] // g, self.den // g
+        nums, den = self.nums, self.den
+        # two stable sorts, by exponent and then by degree, give the order of
+        # the key (sum(exp), exp) without a Python-level key function
+        order = sorted(sorted(nums, reverse=True), key=sum, reverse=True)
+        if den == 1:
+            for exp in order:
+                yield exp, nums[exp], 1
+            return
+        gcd = math.gcd
+        for exp in order:
+            num = nums[exp]
+            g = gcd(num, den)
+            yield exp, num // g, den // g
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,14 +340,17 @@ class Poly:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Poly":
-        return Poly(
-            data["nvars"],
-            {tuple(t["exp"]): Fraction(t["coeff"]) for t in data["terms"]},
-        )
+        terms = {}
+        for t in data["terms"]:
+            num, _, den = str(t["coeff"]).partition("/")
+            terms[tuple(t["exp"])] = Fraction(_integer(num), _integer(den) if den else 1)
+        return Poly(data["nvars"], terms)
 
     def __repr__(self) -> str:
-        terms = {exp: Fraction(num, den) for exp, num, den in self._ordered()}
-        return f"Poly({self.nvars}, {terms!r})"
+        # the repr of the map {exp: Fraction(num, den)}, with every int written by _decimal
+        terms = ", ".join(f"{exp!r}: Fraction({_decimal(num)}, {_decimal(den)})"
+                          for exp, num, den in self._ordered())
+        return f"Poly({self.nvars}, {{{terms}}})"
 
 
 # the slot setters, which bypass the refusing __setattr__
@@ -369,6 +382,25 @@ def _decimal(i: int) -> str:
     half = i.bit_length() * 30103 // 200000  # b bits are about 0.30103 b digits
     high, low = divmod(i, 10 ** half)
     return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _integer(text: str) -> int:
+    """The int a decimal string holds, however many digits; the inverse of ``_decimal``.
+
+    ``int`` refuses a string of more digits than ``sys.get_int_max_str_digits()``;
+    such a string is split into two halves, each read the same way.  The
+    interpreter-wide limit is never changed.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        text = text.strip()
+        digits = text[1:] if text[:1] in ("-", "+") else text
+        if not (digits.isascii() and digits.isdigit()):  # not a number at all
+            raise
+    half = len(digits) // 2  # more digits than the limit, which is at least 640
+    value = _integer(digits[:-half]) * 10 ** half + _integer(digits[-half:])
+    return -value if text[0] == "-" else value
 
 
 def reduced(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
@@ -546,35 +578,86 @@ def _latex_name(name: str) -> str:
 
 
 def _render(p: Poly, names: Sequence[str], latex: bool) -> str:
-    """Terms in canonical order, signs between them, unit coefficients left out."""
+    """Terms in canonical order, signs between them, unit coefficients left out.
+
+    Each variable's power strings, each reduced denominator's digits and the
+    text of each exponent prefix ``exp[:-1]`` are written once per call.
+    """
     if len(names) != p.nvars:
         raise ValueError("one name per variable required")
     if not p.nums:
         return "0"
-    times, power, ratio = "*", "{}^{}", "{}/{}"
     if latex:
         names = [_latex_name(name) for name in names]
-        times, power, ratio = "", "{}^{{{}}}", "\\frac{{{}}}{{{}}}"
+        times, sup, close, frac, over, end = "", "^{", "}", "\\frac{", "}{", "}"
+    else:
+        times, sup, close, frac, over, end = "*", "^", "", "", "/", ""
+    powers = [{1: name} for name in names]
+
+    def power(var: int, e: int) -> str:
+        text = powers[var].get(e)
+        if text is None:
+            text = powers[var][e] = names[var] + sup + _decimal(e) + close
+        return text
+
+    last = p.nvars - 1
+    tails = powers[last] if powers else {}
+    heads: dict[Exponent, str] = {}
+    dens: dict[int, str] = {}
     pieces: list[str] = []
-    for i, (exp, num, den) in enumerate(p._ordered()):
-        mono = times.join(
-            name if e == 1 else power.format(name, e)
-            for name, e in zip(names, exp)
-            if e != 0
-        )
-        mag = abs(num)
-        number = ratio.format(_decimal(mag), _decimal(den)) if den != 1 else _decimal(mag)
-        if not mono:
-            body = number
-        elif mag == den == 1:
-            body = mono
+    append = pieces.append
+    for exp, num, den in p._ordered():
+        head = exp[:-1]
+        mono = heads.get(head)
+        if mono is None:
+            mono = heads[head] = times.join([power(var, e) for var, e in enumerate(head) if e])
+        e = exp[-1] if exp else 0
+        if e:
+            tail = tails.get(e) or power(last, e)
+            mono = mono + times + tail if mono else tail
+        if num < 0:
+            append(" - ")
+            num = -num
         else:
-            body = f"{number}{times}{mono}"
-        if i == 0:
-            pieces.append(f"-{body}" if num < 0 else body)
+            append(" + ")
+        if den != 1:
+            digits = dens.get(den)
+            if digits is None:
+                digits = dens[den] = _decimal(den)
+            number = frac + _decimal(num) + over + digits + end
+        elif num == 1 and mono:
+            append(mono)
+            continue
         else:
-            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
-    return " ".join(pieces)
+            number = _decimal(num)
+        append(number + times + mono if mono else number)
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
+
+
+def _json_text(p: Poly, level: int = 0) -> str:
+    """``json.dumps(p.to_json_dict(), indent=2)``, byte for byte, written straight
+    from ``_ordered``; its lines after the first are indented as in a value
+    ``level`` levels deep in a larger document."""
+    i0, i1, i2, i3, i4 = ("\n" + "  " * (level + k) for k in range(5))
+    if not p.nums:
+        return f'{{{i1}"nvars": {p.nvars},{i1}"terms": []{i0}}}'
+    sep = "," + i4
+    head = "{" + i3 + '"exp": [' + (i4 if p.nvars else "")
+    mid = (i3 if p.nvars else "") + "]," + i3 + '"coeff": "'
+    tail = '"' + i2 + "}"
+    dens: dict[int, str] = {}
+    terms: list[str] = []
+    for exp, num, den in p._ordered():
+        coeff = _decimal(num)
+        if den != 1:
+            digits = dens.get(den)
+            if digits is None:
+                digits = dens[den] = "/" + _decimal(den)
+            coeff += digits
+        terms.append(head + sep.join(map(str, exp)) + mid + coeff + tail)
+    items = ("," + i2).join(terms)
+    return f'{{{i1}"nvars": {p.nvars},{i1}"terms": [{i2}{items}{i1}]{i0}}}'
 
 
 def to_text(p: Poly, names: Sequence[str]) -> str:

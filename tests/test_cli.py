@@ -10,8 +10,9 @@ import pytest
 
 from layerpoisson import cli
 from layerpoisson.cli import main
-from layerpoisson.parsing import MAX_NESTING
+from layerpoisson.parsing import MAX_NESTING, parse_poly
 from layerpoisson.polyring import MAX_DIMENSION
+from layerpoisson.solver import LayerProblem, solve, verify
 
 from conftest import P
 
@@ -387,3 +388,54 @@ def test_solution_coefficient_past_the_digit_limit_prints(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verified"] is True
     assert [t["coeff"] for t in report["solution"]["terms"]] == [f"1/{den}", f"-1/{den}"]
+
+
+def _library_report(args):
+    """The report the library gives for a solve or verify argument list, and the problem."""
+    flags = dict(zip(args[1::2], args[2::2]))
+    n = int(flags["--dim"])
+    problem = LayerProblem(n=n, a=Fraction(flags["--width"]), kind=flags["--kind"],
+                           rhs=parse_poly(flags["--rhs"], n), lower=parse_poly(flags["--lower"], n),
+                           upper=parse_poly(flags["--upper"], n))
+    if args[0] == "verify":
+        return verify(parse_poly(flags["--solution"], n), problem)
+    return solve(problem)
+
+
+_EX23 = ["--dim", "3", "--width", "1", "--rhs", "x1^3*x2^2*x3*y^3", "--lower", "0", "--upper", "0"]
+_NINES = "9" * (getattr(sys, "get_int_max_str_digits", int)() or 4300)
+
+
+@pytest.mark.parametrize("args", [
+    EXAMPLE_1_ARGS,
+    ["solve", "--kind", "dirichlet"] + _EX23,
+    ["solve", "--kind", "mixed"] + _EX23,
+    ["solve", "--dim", "2", "--width", "7/3", "--kind", "mixed", "--rhs", "x1^3*x2*y^2 - 5/3*y^4",
+     "--lower", "x1^2 - 2/7*x2", "--upper", "1/9*x1*x2^3"],
+    ["verify", "--dim", "1", "--width", "1", "--kind", "dirichlet",
+     "--rhs", "0", "--lower", "x^2", "--upper", "x^2", "--solution", "x^2-y^2 + 1/3*x*y^4"],
+    ["solve", "--dim", "1", "--width", "1", "--kind", "dirichlet",
+     "--rhs", "1/" + _NINES, "--lower", "0", "--upper", "0"],
+], ids=["example-1", "example-2", "example-3", "mixed-width-7/3", "wrong-candidate", "nines"])
+def test_json_output_is_json_dumps_of_the_report(args, capsys):
+    report = _library_report(args)
+    assert main(["--output", "json"] + args) == (0 if report.verified else 1)
+    assert capsys.readouterr().out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def test_flags_solve_does_not_import_json():
+    # json is read only for a --problem file and written by json.dumps only for
+    # tables and numcheck; -S keeps site hooks from loading it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from layerpoisson.cli import main",
+        f"args = {EXAMPLE_1_ARGS!r}",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [main(fmt + args) for fmt in ([], ['--output', 'json'], ['--output', 'latex'])]",
+        "print(codes, 'json' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[0, 0, 0] False"

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerpoisson.polyring import Poly, Ring, _decimal, lift, to_latex, to_text
+from layerpoisson.polyring import (
+    Poly, Ring, _decimal, _integer, _json_text, lift, to_latex, to_text)
 from layerpoisson.parsing import parse_expr
 
 from conftest import P, XY, XYA, YA
@@ -344,3 +345,88 @@ def test_decimal_writes_any_int_under_a_lowered_limit(k):
     values = [sign * (10 ** k + d) for sign in (1, -1) for d in (-1, 0, 1)]
     expected = _under_limit(0, lambda: [str(v) for v in values])
     assert _under_limit(640, lambda: [_decimal(v) for v in values]) == expected
+
+
+@needs_settable_limit
+@pytest.mark.parametrize("k", [639, 640, 641, 1279, 1280, 1281, 4300, 9000])
+def test_integer_reads_any_decimal_under_a_lowered_limit(k):
+    values = [sign * (10 ** k + d) for sign in (1, -1) for d in (-1, 0, 1)]
+    texts = _under_limit(0, lambda: [str(v) for v in values])
+    assert _under_limit(640, lambda: [_integer(t) for t in texts]) == values
+    assert _under_limit(640, lambda: _integer("+" + texts[0])) == values[0]
+
+
+@needs_settable_limit
+@pytest.mark.parametrize("text", ["", "-", "12a", "1" * 700 + "x", "1" * 700 + "-1", "٣" * 700])
+def test_integer_refuses_what_is_not_a_decimal(text):
+    with pytest.raises(ValueError):
+        _under_limit(640, lambda: _integer(text))
+
+
+@needs_settable_limit
+def test_json_and_repr_past_the_digit_limit():
+    # 1/(2*(10^700 - 1))*y^2 under a limit of 640 digits, as 1/(2*(10^4300 - 1))*y^2
+    # is under the default one; and a numerator that crosses it too
+    den = 2 * (10 ** 700 - 1)
+    p = Poly(2, {(0, 2): Fraction(1, den), (1, 0): Fraction(-(10 ** 1400 + 7), den - 1), (0, 0): 3})
+
+    def written():
+        return json.dumps(p.to_json_dict(), indent=2), repr(p)
+
+    blob, text = expected = _under_limit(0, written)
+    assert _under_limit(640, written) == expected
+    assert _under_limit(640, lambda: Poly.from_json_dict(json.loads(blob))) == p
+    # the repr of the map of Fractions in canonical order, as it reads with no limit
+    terms = {exp: p.terms[exp] for exp in [(0, 2), (1, 0), (0, 0)]}
+    assert text == _under_limit(0, lambda: f"Poly(2, {terms!r})")
+
+
+def test_json_round_trip_past_the_default_digit_limit():
+    p = Poly(2, {(0, 2): Fraction(1, 2 * (10 ** 4300 - 1))})
+    assert Poly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
+    assert repr(p).startswith("Poly(2, {(0, 2): Fraction(1, 1999")
+
+
+@st.composite
+def json_polys(draw):
+    """A Poly in 0 to 4 variables; its last slot may carry a negative (width) exponent."""
+    nvars = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 6)] * (nvars - 1), st.integers(-3, 3)) if nvars else st.just(())
+    coeffs = st.one_of(
+        st.integers(-10 ** 40, 10 ** 40).filter(bool),
+        st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool), st.integers(1, 10 ** 25)),
+        st.just(Fraction(-1, 2 * (10 ** 4300 - 1))),  # past the default digit limit
+    )
+    return Poly(nvars, draw(st.dictionaries(exps, coeffs, max_size=8)))
+
+
+@given(json_polys(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_json_dumps(p, level):
+    expected = json.dumps(p.to_json_dict(), indent=2)
+    assert _json_text(p) == expected
+    # the same Poly as the value level lists deep
+    doc = p.to_json_dict()
+    for _ in range(level):
+        doc = [doc]
+    opening = "".join("  " * i + "[\n" for i in range(level)) + "  " * level
+    closing = "".join("\n" + "  " * i + "]" for i in reversed(range(level)))
+    assert json.dumps(doc, indent=2) == opening + _json_text(p, level) + closing
+
+
+@pytest.mark.parametrize("p", [
+    Poly(0), Poly(3), Poly.const(0, Fraction(-5, 7)), Poly.const(2, 1),
+    Poly(2, {(1, -2): Fraction(1, 3), (0, 0): -(10 ** 40)}),
+    # a coefficient past the default digit limit
+    Poly(2, {(0, 2): Fraction(1, 2 * (10 ** 4300 - 1)), (0, 1): Fraction(-1, 2 * (10 ** 4300 - 1))}),
+], ids=["zero-0", "zero-3", "constant-0", "one-2", "laurent", "past-the-limit"])
+def test_json_writer_matches_json_dumps_on_edge_cases(p):
+    expected = json.dumps(p.to_json_dict(), indent=2)
+    assert _json_text(p) == expected
+    assert json.dumps({"k": p.to_json_dict()}, indent=2) == '{\n  "k": ' + _json_text(p, 1) + "\n}"
+
+
+def test_render_in_no_variables():
+    assert to_text(Poly.const(0, Fraction(-5, 7)), ()) == "-5/7"
+    assert to_latex(Poly.const(0, 3), ()) == "3"
+    assert to_text(Poly(0), ()) == "0"
