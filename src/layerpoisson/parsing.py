@@ -35,7 +35,7 @@ import sys
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .polyring import MAX_DIMENSION, Poly, Ring, poly_sum, reduced
+from .polyring import Poly, Ring, check_dimension, poly_sum, reduced
 
 
 class PolyParseError(ValueError):
@@ -250,10 +250,7 @@ def parse_poly(expr: str, n: int) -> Poly:
     Returns a Poly in the rational-width ring: variables x1..xn then y.
     n is at most ``MAX_DIMENSION``.
     """
-    if n < 1:
-        raise ValueError("spatial dimension must be at least 1")
-    if n > MAX_DIMENSION:
-        raise ValueError(f"spatial dimension must be at most {MAX_DIMENSION}")
+    check_dimension(n)
     return _Parser(expr, _ring_slots(n), n + 1, False).parse()
 
 

@@ -15,15 +15,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .polyring import Poly, Ring, lift, reduced
+from .polyring import Poly, Ring, check_dimension, lift, reduced
 from .series import apply_dx_series, normalize_index
 
 
 @lru_cache(maxsize=1024)  # a Poly is immutable, so one image serves every call
 def _integrate_y(j: int, m: int) -> Poly:
-    """(-1)^j I_y^(j+1) y^m = (-1)^j m!/(m+2j+2)! y^(m+2j+2), a Poly in y."""
+    """(-1)^j I_y^(j+1) y^m = (-1)^j y^e / ((m+1)(m+2)...e), e = m+2j+2, a Poly in y."""
     e = m + 2 * j + 2
-    return reduced(1, math.factorial(e), {(e,): (-1) ** j * math.factorial(m)})
+    return reduced(1, math.prod(range(m + 1, e + 1)), {(e,): (-1) ** j})
 
 
 def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
@@ -31,8 +31,7 @@ def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
 
     u = sum_{j=0}^{floor(|k|/2)} (-1)^j m!/(m+2j+2)! y^(m+2j+2) lap_x^j x^k
     """
-    if n < 1:
-        raise ValueError("spatial dimension must be at least 1")
+    check_dimension(n)
     if m < 0:
         raise ValueError("y-exponent must be non-negative")
     k = normalize_index(k, n)

@@ -508,9 +508,19 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-# the largest spatial dimension that parse_poly and LayerProblem accept: every
+# the largest spatial dimension that check_dimension accepts: every
 # term carries an exponent tuple of n + 1 entries, and the parser n + 1 names
 MAX_DIMENSION = 100_000
+
+
+def check_dimension(n) -> None:
+    """Refuse a spatial dimension n unless it is an int, not bool, from 1 to ``MAX_DIMENSION``."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"spatial dimension must be an integer, not {type(n).__name__}")
+    if n < 1:
+        raise ValueError("spatial dimension must be at least 1")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"spatial dimension must be at most {MAX_DIMENSION}")
 
 
 class Ring(_Record):

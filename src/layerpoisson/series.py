@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -54,7 +54,11 @@ def width(a: Union[None, int, Fraction]) -> Width:
 
 
 def normalize_index(k, n: int) -> tuple[int, ...]:
-    """A multi-index of length n; a bare int is accepted for n = 1."""
+    """A multi-index of length n; a bare int is accepted for n = 1.
+
+    Its entries are ints; bool and other types are refused, as ``as_scalar``
+    refuses them for scalars.
+    """
     if isinstance(k, int):
         if n != 1:
             raise ValueError("integer exponent only valid for n = 1")
@@ -62,6 +66,9 @@ def normalize_index(k, n: int) -> tuple[int, ...]:
     k = tuple(k)
     if len(k) != n:
         raise ValueError(f"multi-index length {len(k)} does not match n={n}")
+    for e in k:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise TypeError(f"multi-index entries must be integers, not {type(e).__name__}")
     if any(e < 0 for e in k):
         raise ValueError("multi-index entries must be non-negative")
     return k
@@ -120,21 +127,21 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
     s_j(a) = 0 is its top condition, or ∂_y s_j(a) = 0 when ``slope``.  The
     family keeps one list [s_0, s_1, ...] per width p/q, grown in order by
     ``member``, so a cold s_j takes j steps and no lookups.  A lookup is a
-    hit when s_j is already stored.  When more than ``_MAX_MEMBERS`` members
-    are held, the least recently used widths are dropped whole, never the
-    one in use.  The symbolic width is read from the unit-width list: every
-    member is homogeneous in (y, a), s_j = Σ c_l y^l a^(d-l) with c_l its
-    y^l coefficient at a = 1 and d = 2j + deg s_0.  A lookup holds the
-    family's lock, so threads can share it.
+    hit when s_j is already stored.  The widths are kept in an
+    ``OrderedDict`` in recency order; when more than ``_MAX_MEMBERS``
+    members are held, the least recently used widths are dropped whole,
+    never the one in use.  The symbolic width is read from the unit-width
+    list: every member is homogeneous in (y, a), s_j = Σ c_l y^l a^(d-l)
+    with c_l its y^l coefficient at a = 1 and d = 2j + deg s_0.  A lookup
+    holds the family's lock, so threads can share it.
     """
-    lists: dict[tuple[int, int], list[Poly]] = {}  # least recently used width first
+    lists: OrderedDict[tuple[int, int], list[Poly]] = OrderedDict()  # least recently used first
     degree = sum(next(iter(first)))
     hits = misses = held = 0
-    last = None  # the width of the latest lookup, already at the end of lists
     lock = threading.Lock()  # one thread at a time reads, grows or evicts
 
     def get(j: int, a: Width) -> Poly:
-        nonlocal hits, misses, held, last
+        nonlocal hits, misses, held
         if a is None:
             s = get(j, Fraction(1))
             d = 2 * j + degree
@@ -144,37 +151,31 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
         key = a.numerator, a.denominator
         with lock:
             members = lists.get(key)
-            if members is not None and j < len(members):
-                hits += 1
-                if key != last:
-                    lists[key] = lists.pop(key)
-                    last = key
-                return members[j]
+            if members is not None:
+                lists.move_to_end(key)
+                if j < len(members):
+                    hits += 1
+                    return members[j]
             misses += 1
             if members is None:
-                members = [seed(*key, first)]
+                members = lists[key] = [seed(*key, first)]
                 held += 1
-            else:
-                del lists[key]
-            lists[key], last = members, key
             p, q = key
-            count = len(members)
             while len(members) <= j:
                 members.append(member(members[-1], p, q, slope))
-            held += len(members) - count
+                held += 1
             while held > _MAX_MEMBERS and len(lists) > 1:
-                held -= len(lists.pop(next(iter(lists))))
+                held -= len(lists.popitem(last=False)[1])
             return members[j]
 
     def cache_info() -> _CacheInfo:
         return _CacheInfo(hits, misses, _MAX_MEMBERS, held)
 
     def cache_clear() -> None:
-        nonlocal hits, misses, held, last
+        nonlocal hits, misses, held
         with lock:
             lists.clear()
             hits = misses = held = 0
-            last = None
 
     get.__module__, get.__name__, get.__qualname__ = module, name, name
     get.cache_info, get.cache_clear = cache_info, cache_clear

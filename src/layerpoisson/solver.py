@@ -5,11 +5,11 @@ equation plus a harmonic correction whose boundary data absorbs whatever
 the particular solution left on the two hyperplanes.  Each part is one
 finite series in the spatial Laplacian (see ``series``), applied to the
 whole data polynomial: the harmonic corrections are the basis functions
-of ``dirichlet`` or ``mixed`` with the boundary polynomial as their data.  Every step is exact
-rational arithmetic, so verify() certifies the result by checking that
-three residual polynomials are identically zero.  verify() walks u once:
-one pass over its terms, grouped by their x part, gives the Laplacian and
-both boundary traces together.
+of ``dirichlet`` or ``mixed`` with the boundary polynomial as their data.
+Every step is exact rational arithmetic, so verify() certifies the result
+by checking that three residual polynomials are identically zero.
+verify() walks u once: one pass over its terms, grouped by their x part,
+gives the Laplacian and both boundary traces together.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Literal
 
 from . import dirichlet, mixed
 from .particular import inv_laplacian
-from .polyring import MAX_DIMENSION, Poly, Ring, _Record, as_scalar, lift, poly_sum, reduced
+from .polyring import Poly, Ring, _Record, as_scalar, check_dimension, lift, poly_sum, reduced
 from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
@@ -38,10 +38,7 @@ class LayerProblem(_Record):
     _fields = ("n", "a", "rhs", "kind", "lower", "upper")
 
     def __init__(self, n: int, a: Fraction, rhs: Poly, kind: Kind, lower: Poly, upper: Poly):
-        if n < 1:
-            raise ValueError("spatial dimension must be at least 1")
-        if n > MAX_DIMENSION:
-            raise ValueError(f"spatial dimension must be at most {MAX_DIMENSION}")
+        check_dimension(n)
         if a is None:
             raise TypeError("a layer problem needs a rational width")
         a = width(a)
@@ -135,32 +132,28 @@ def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
     The exponent x + (e,) of a term of Δu is built only for the nonzero
     terms left after those sums.  At a = p/q the top trace is a sum over
     q^hi, hi the largest y exponent: c y^e contributes c p^e q^(hi-e) to
-    the value and c e p^(e-1) q^(hi-e+1) to the y-derivative.  Each part
-    then has its data subtracted over one common denominator.
+    the value and c e p^(e-1) q^(hi-e+1) to the y-derivative, a weight
+    computed only for the y exponents u has.  Each part then has its data
+    subtracted over one common denominator.
     """
     n, nums = problem.n, u.nums
     groups: dict[tuple[int, ...], dict[int, int]] = {}  # x part -> {y exponent: numerator}
-    hi = 0
     for exp, c in nums.items():
         x, e = exp[:n], exp[n]
-        if e > hi:
-            hi = e
-        elif e < 0:
-            raise ZeroDivisionError("substituting 0 into a negative power")
         group = groups.get(x)
         if group is None:
             groups[x] = {e: c}
         else:
             group[e] = c
+    ys = set().union(*groups.values())  # the y exponents of u
+    if min(ys, default=0) < 0:
+        raise ZeroDivisionError("substituting 0 into a negative power")
+    hi = max(ys, default=0)
     p, q = problem.a.numerator, problem.a.denominator
-    ps, qs = [1], [1]  # p^e and q^e for e = 0..hi
-    for _ in range(hi):
-        ps.append(ps[-1] * p)
-        qs.append(qs[-1] * q)
     if problem.kind == "dirichlet":
-        scale = [pe * qs[hi - e] for e, pe in enumerate(ps)]
+        scale = {e: p ** e * q ** (hi - e) for e in ys}
     else:
-        scale = [e * ps[e - 1] * qs[hi - e + 1] if e else 0 for e in range(hi + 1)]
+        scale = {e: e * p ** (e - 1) * q ** (hi - e + 1) if e else 0 for e in ys}
     lap: dict[tuple[int, ...], dict[int, int]] = {}  # x part -> {y exponent: numerator} of Δu
     lower, top = {}, {}
     for x, group in groups.items():
@@ -187,7 +180,7 @@ def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
     nvars, den = u.nvars, u.den
     lap_nums = {x + (e,): c for x, out in lap.items() for e, c in out.items() if c}
     return (_minus(nvars, den, lap_nums, problem.rhs), _minus(nvars, den, lower, problem.lower),
-            _minus(nvars, den * qs[hi], top, problem.upper))
+            _minus(nvars, den * q ** hi, top, problem.upper))
 
 
 def _minus(nvars: int, den: int, nums: dict[tuple[int, ...], int], data: Poly) -> Poly:

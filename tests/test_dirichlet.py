@@ -11,6 +11,7 @@ from layerpoisson.dirichlet import (
     multiindex_f,
     multiindex_factor,
 )
+from layerpoisson.particular import inv_laplacian_monomial
 from layerpoisson.polyring import Poly, Ring, lift
 
 from conftest import P, XYA, YA
@@ -185,3 +186,14 @@ def test_rejects_bad_input():
 def test_rejects_inexact_width(a):
     with pytest.raises(TypeError):
         basis_u(2, 1, a)
+
+
+@pytest.mark.parametrize("k, n, name", [
+    (True, 1, "bool"), ((True,), 1, "bool"), ((2, False), 2, "bool"),
+    ((2.0,), 1, "float"), ((Fraction(2),), 1, "Fraction"),
+], ids=["bare-bool", "bool", "bool-in-2d", "float", "Fraction"])
+def test_rejects_a_multi_index_entry_that_is_not_an_int(k, n, name):
+    with pytest.raises(TypeError, match=f"^multi-index entries must be integers, not {name}$"):
+        basis_u(k, n, 1)
+    with pytest.raises(TypeError, match=f"^multi-index entries must be integers, not {name}$"):
+        inv_laplacian_monomial(k, 0, n)

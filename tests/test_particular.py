@@ -1,15 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerpoisson.particular import (
+    _integrate_y,
     inv_laplacian,
     inv_laplacian_monomial,
     inv_laplacian_monomial_alt,
 )
-from layerpoisson.polyring import Poly, Ring
+from layerpoisson.polyring import Poly, Ring, reduced
 
 from conftest import P, XY, X3Y
 
@@ -107,3 +109,13 @@ def test_inv_laplacian_has_no_y0_or_y1_term(case):
     n, terms = case
     u = inv_laplacian(Poly(n + 1, terms), n)
     assert all(exp[n] >= 2 for exp in u.nums)
+
+
+def test_image_of_a_high_power_is_one_short_product():
+    # m!/(m+2)! is 1/((m+1)(m+2)): no factorial of a six-digit number is formed
+    start = time.perf_counter()
+    image = _integrate_y.__wrapped__(0, 400000)
+    elapsed = time.perf_counter() - start
+    assert image == _integrate_y(0, 400000) == reduced(1, 400001 * 400002, {(400002,): 1})
+    assert elapsed < 0.5
+    assert _integrate_y(1, 3) == reduced(1, 4 * 5 * 6 * 7, {(7,): -1})

@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 
 from layerpoisson import LayerProblem, Poly, Ring, SolutionReport, solve
+from layerpoisson.parsing import parse_poly
+from layerpoisson.particular import inv_laplacian_monomial
 from layerpoisson.polyring import MAX_DIMENSION
 
 from conftest import P
@@ -176,3 +178,22 @@ def test_layer_problem_dimension_is_bounded():
     zero = Poly.zero(n + 2)
     with pytest.raises(ValueError, match=f"^spatial dimension must be at most {n}$"):
         LayerProblem(n=n + 1, a=1, rhs=zero, kind="dirichlet", lower=zero, upper=zero)
+
+
+@pytest.mark.parametrize("n, name", [(True, "bool"), (1.0, "float"), (Fraction(1), "Fraction")])
+def test_dimension_that_is_not_an_int_is_refused(n, name):
+    message = f"^spatial dimension must be an integer, not {name}$"
+    with pytest.raises(TypeError, match=message):
+        _problem(n=n)
+    with pytest.raises(TypeError, match=message):
+        parse_poly("x1 + y", n)
+    with pytest.raises(TypeError, match=message):
+        inv_laplacian_monomial(0, 0, n)
+
+
+@pytest.mark.parametrize("n", [0, MAX_DIMENSION + 1])
+def test_the_monomial_image_checks_the_dimension_as_parse_poly_does(n):
+    message = "at least 1" if n < 1 else f"at most {MAX_DIMENSION}"
+    for build in (lambda: parse_poly("y", n), lambda: inv_laplacian_monomial(0, 0, n)):
+        with pytest.raises(ValueError, match=f"^spatial dimension must be {message}$"):
+            build()

@@ -154,6 +154,26 @@ def test_alternating_widths_under_the_bound_gives_fresh_members(monkeypatch):
         _clear_family_caches()
 
 
+def test_a_hit_keeps_its_width_when_another_is_evicted(monkeypatch):
+    A, B, C = Fraction(1, 2), Fraction(7, 3), Fraction(5)
+    _clear_family_caches()
+    monkeypatch.setattr(series, "_MAX_MEMBERS", 16)
+    steps = _counted_steps(monkeypatch)
+    try:
+        dirichlet._c(4, A)
+        dirichlet._c(4, B)
+        dirichlet._c(2, A)  # a hit: A is now used more recently than B
+        dirichlet._c(7, C)  # 5 + 5 + 8 members do not fit in 16: B goes
+        assert dirichlet._c.cache_info().currsize == 13
+        del steps[:]
+        dirichlet._c(4, A)
+        assert steps == []
+        dirichlet._c(4, B)
+        assert len(steps) == 4
+    finally:
+        _clear_family_caches()
+
+
 def test_threads_growing_one_family_get_the_members_of_a_serial_build():
     # more threads than cores, switching often: a member appended twice or
     # out of order would shift every later member of the list

@@ -1,6 +1,7 @@
 """verify against the composition it replaced: Δu and the two traces taken
 one at a time through ``Poly.laplacian``, ``Poly.subs`` and ``Poly.diff``."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,22 @@ def test_two_variables_shifting_into_one_x_part(n, text, names, kind):
     for problem in (_problem(n, kind), _own_problem(u, n, kind)):
         assert verify(u, problem) == ref_verify(u, problem)
     assert verify(u, _own_problem(u, n, kind)).verified
+
+
+def test_verify_weighs_only_the_y_powers_u_has():
+    # u has two terms, y and y^8002; a weight for every y power up to the
+    # top one holds O(8002^2) bits (36.7 MiB traced)
+    zero = Poly.zero(2)
+    problem = LayerProblem(n=1, a=Fraction(7, 3), kind="mixed", rhs=P("y^8000"),
+                           lower=zero, upper=zero)
+    u = solve(problem).u
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = verify(u, problem)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.verified and sorted(u.nums) == [(0, 1), (0, 8002)]
+    assert peak < 2 ** 20
