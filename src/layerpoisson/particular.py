@@ -23,7 +23,11 @@ from .series import apply_dx_series, normalize_index
 def _integrate_y(j: int, m: int) -> Poly:
     """(-1)^j I_y^(j+1) y^m = (-1)^j y^e / ((m+1)(m+2)...e), e = m+2j+2, a Poly in y."""
     e = m + 2 * j + 2
-    return reduced(1, math.prod(range(m + 1, e + 1)), {(e,): (-1) ** j})
+    # a quotient of factorials, whose products are balanced, when the factors
+    # outnumber m; a short sequential product otherwise, so that a high power
+    # of y forms no factorial of it
+    den = math.factorial(e) // math.factorial(m) if 2 * j + 2 > m else math.prod(range(m + 1, e + 1))
+    return reduced(1, den, {(e,): (-1) ** j})
 
 
 def inv_laplacian_monomial(k, m: int, n: int) -> Poly:

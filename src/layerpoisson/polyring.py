@@ -165,7 +165,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return reduced(self.nvars, self.den, {exp: -c for exp, c in self.nums.items()})
+        return _lowest(self.nvars, self.den, {exp: -c for exp, c in self.nums.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -413,19 +413,35 @@ def reduced(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
     return object.__new__(Poly)._store(nvars, den, nums)
 
 
+def _lowest(nvars: int, den: int, nums: dict[Exponent, int]) -> Poly:
+    """The Poly Σ nums[exp]/den x^exp from a map already in canonical form.
+
+    den > 0, no numerator is 0 and gcd(den, *nums) == 1 hold already, as for
+    the negation or a copy of a stored Poly's map, so no gcd is searched for;
+    the caller hands ``nums`` over as for ``reduced``.
+    """
+    p = object.__new__(Poly)
+    _set_nvars(p, nvars)
+    _set_den(p, den)
+    _set_nums(p, nums)
+    return p
+
+
 def poly_sum(nvars: int, polys: Sequence[Poly]) -> Poly:
     """The sum of polys, accumulated once over the lcm of their denominators.
 
     The accumulator starts as a copy of the operand with the most terms,
     scaled to the common denominator, and the other operands are added to
-    it term by term.
+    it term by term.  A sum with one nonzero operand is a copy of it.
     """
     if not polys:
         return reduced(nvars, 1, {})
-    den = math.lcm(*[p.den for p in polys])
     sizes = [len(p.nums) for p in polys]
     first = sizes.index(max(sizes))
     seed = polys[first]
+    if sizes.count(0) == len(sizes) - 1:
+        return _lowest(nvars, seed.den, dict(seed.nums))
+    den = math.lcm(*[p.den for p in polys])
     scale = den // seed.den
     out = dict(seed.nums) if scale == 1 else {exp: c * scale for exp, c in seed.nums.items()}
     for i, p in enumerate(polys):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -439,3 +440,70 @@ def test_flags_solve_does_not_import_json():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "[0, 0, 0] False"
+
+
+def _argparse_exit():
+    raise SystemExit(2)
+
+
+@pytest.mark.parametrize("fake_main, code", [(lambda: 1, 1), (_argparse_exit, 2)],
+                         ids=["returns", "raises"])
+def test_run_exits_with_the_code_of_main_after_one_freeze(fake_main, code, monkeypatch):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    monkeypatch.setattr(cli, "main", fake_main)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert freezes == [1]
+
+
+def test_main_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert main(EXAMPLE_1_ARGS) == 0
+    assert main(["--output", "json"] + EXAMPLE_1_ARGS) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def _cli_env(monkeypatch):
+    """The environment of a child process that reads the package from src/, as the parent does."""
+    monkeypatch.delenv(cli.OUTPUT_ENV_VAR, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize("args", [
+    EXAMPLE_1_ARGS,
+    ["--output", "latex"] + EXAMPLE_1_ARGS,
+    ["--output", "json"] + EXAMPLE_1_ARGS,
+    ["verify", "--dim", "1", "--width", "1", "--kind", "dirichlet",
+     "--rhs", "0", "--lower", "x^2", "--upper", "x^2", "--solution", "x^2-y^2 + 1"],
+    ["solve", "--dim", "0", "--width", "1", "--kind", "dirichlet",
+     "--rhs", "0", "--lower", "0", "--upper", "0"],
+    ["tables", "--family", "p", "--max-m", "3", "--output", "json"],
+    ["solve", "--kind", "neumann"],
+    ["--help"],
+], ids=["plain", "latex", "json", "wrong-candidate", "usage-error", "tables", "argparse-error", "help"])
+def test_module_process_matches_main_in_process(args, monkeypatch, capsys):
+    env = _cli_env(monkeypatch)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse exits by itself for --help and its own errors
+        code = exc.code
+    captured = capsys.readouterr()
+    cp = subprocess.run([sys.executable, "-m", "layerpoisson.cli", *args], env=env,
+                        capture_output=True, text=True, timeout=60)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (code, captured.out, captured.err)
+    assert code in (0, 1, 2) and (captured.out or captured.err)
+
+
+def test_profiler_still_reports_after_the_module_returns(monkeypatch):
+    # cProfile prints its table once the module's code has exited: run() must
+    # leave the interpreter to exit as usual, not cut it short
+    env = _cli_env(monkeypatch)
+    cp = subprocess.run([sys.executable, "-m", "cProfile", "-m", "layerpoisson.cli", *EXAMPLE_1_ARGS],
+                        env=env, capture_output=True, text=True, timeout=60)
+    assert "verified: true" in cp.stdout
+    assert "function calls" in cp.stdout

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from layerpoisson import dirichlet, mixed
 from layerpoisson.parsing import PolyParseError, parse_expr, parse_poly
 from layerpoisson.particular import inv_laplacian, inv_laplacian_monomial_alt
-from layerpoisson.polyring import Poly, poly_sum, second_partials, to_latex, to_text
+from layerpoisson.polyring import Poly, poly_sum, reduced, second_partials, to_latex, to_text
 from layerpoisson.series import correction, quotient
 
 FAMILIES = {"c": dirichlet._c, "c_flip": dirichlet._c_flip, "d": mixed._d, "e": mixed._e}
@@ -289,6 +289,22 @@ def test_poly_sum_with_its_largest_operand_anywhere(at, others):
 def test_poly_sum_of_nothing_is_zero():
     assert poly_sum(3, []) == Poly.zero(3)
     assert poly_sum(3, [Poly.zero(3), Poly.zero(3)]) == Poly.zero(3)
+
+
+@given(laurent_terms.filter(bool), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_shortcuts_past_the_gcd_equal_reduced(terms, before, after):
+    # -p and a sum with one nonzero operand store their map without a gcd:
+    # each must be the canonical form that reduced finds, in a map of its own
+    p = Poly(3, terms)
+    neg = -p
+    assert neg == reduced(3, p.den, {exp: -c for exp, c in p.nums.items()})
+    assert neg.nums is not p.nums
+    operands = [Poly.zero(3)] * before + [p] + [Poly.zero(3)] * after
+    total = poly_sum(3, operands)
+    assert total == reduced(3, p.den, dict(p.nums))
+    assert all(total.nums is not q.nums for q in operands)
+    assert p.nums == Poly(3, terms).nums  # the operand is left as it was
 
 
 def cancelling_maps(n):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -119,3 +120,18 @@ def test_image_of_a_high_power_is_one_short_product():
     assert image == _integrate_y(0, 400000) == reduced(1, 400001 * 400002, {(400002,): 1})
     assert elapsed < 0.5
     assert _integrate_y(1, 3) == reduced(1, 4 * 5 * 6 * 7, {(7,): -1})
+
+
+def test_high_power_of_x_has_its_closed_form_quickly():
+    # u = Σ_j (-1)^j N!/((N-2j)!(2j+2)!) x^(N-2j) y^(2j+2); the images of y^0
+    # are formed afresh, through factorials, not as sequential products
+    n_x = 4000
+    _integrate_y.cache_clear()
+    start = time.perf_counter()
+    u = inv_laplacian(Poly.monomial(2, (n_x, 0)), 1)
+    elapsed = time.perf_counter() - start
+    expected = Poly(2, {(n_x - 2 * j, 2 * j + 2): Fraction((-1) ** j * math.comb(n_x, 2 * j),
+                                                             (2 * j + 1) * (2 * j + 2))
+                        for j in range(n_x // 2 + 1)})
+    assert u == expected
+    assert elapsed < 1.0

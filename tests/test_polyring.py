@@ -1,12 +1,13 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerpoisson.polyring import (
-    Poly, Ring, _decimal, _integer, _json_text, lift, to_latex, to_text)
+    Poly, Ring, _decimal, _integer, _json_text, lift, poly_sum, reduced, to_latex, to_text)
 from layerpoisson.parsing import parse_expr
 
 from conftest import P, XY, XYA, YA
@@ -430,3 +431,16 @@ def test_render_in_no_variables():
     assert to_text(Poly.const(0, Fraction(-5, 7)), ()) == "-5/7"
     assert to_latex(Poly.const(0, 3), ()) == "3"
     assert to_text(Poly(0), ()) == "0"
+
+
+def test_negation_and_a_lone_summand_take_no_gcd():
+    # one term whose parts have about 560k bits: a gcd of them takes a
+    # quarter of a second, and the content of either result is known already
+    p = reduced(1, 3 ** 353000, {(5,): 2 ** 560000 + 1})
+    zero = Poly.zero(1)
+    for shortcut in (lambda: -p, lambda: poly_sum(1, (zero, p, zero))):
+        start = time.perf_counter()
+        q = shortcut()
+        assert time.perf_counter() - start < 0.05
+        assert q.den == p.den and q.nums.keys() == p.nums.keys()
+    assert (-p).nums == {(5,): -(2 ** 560000 + 1)}
