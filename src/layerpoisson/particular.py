@@ -7,27 +7,14 @@ finite series in the spatial Laplacian
 
 applied to the whole of P at once by ``series.apply_dx_series``.  On a
 monomial x^k y^m this is the paper's y-integrated formula, and the result
-has total degree deg(P) + 2.
+has total degree deg(P) + 2.  Within each call the images I_j y^m =
+-I_y I_{j-1} y^m are grown in order of j; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
-from .polyring import Poly, Ring, check_dimension, lift, reduced
+from .polyring import Poly, Ring, _lowest, check_dimension, lift
 from .series import apply_dx_series, normalize_index
-
-
-@lru_cache(maxsize=1024)  # a Poly is immutable, so one image serves every call
-def _integrate_y(j: int, m: int) -> Poly:
-    """(-1)^j I_y^(j+1) y^m = (-1)^j y^e / ((m+1)(m+2)...e), e = m+2j+2, a Poly in y."""
-    e = m + 2 * j + 2
-    # a quotient of factorials, whose products are balanced, when the factors
-    # outnumber m; a short sequential product otherwise, so that a high power
-    # of y forms no factorial of it
-    den = math.factorial(e) // math.factorial(m) if 2 * j + 2 > m else math.prod(range(m + 1, e + 1))
-    return reduced(1, den, {(e,): (-1) ** j})
 
 
 def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
@@ -61,4 +48,14 @@ def inv_laplacian(P: Poly, n: int) -> Poly:
         raise ValueError(
             f"right-hand side must live in the {ring.nvars}-variable ring x1..x{n}, y"
         )
-    return apply_dx_series(P, n, _integrate_y, ring.nvars)
+    dens = {}  # m -> the denominator of the last image of y^m
+
+    def image(j: int, m: int) -> Poly:
+        # (-1)^j I_y^(j+1) y^m = (-1)^j y^e / ((m+1)...e), e = m+2j+2, from the last image:
+        # apply_dx_series asks for each y^m once at j = 0, 1, 2, ... in turn, since Δ_x
+        # leaves y exponents alone and a y^m part that Δ_x^j kills stays dead
+        e = m + 2 * j + 2
+        d = dens[m] = dens.get(m, 1) * (e - 1) * e
+        return _lowest(1, d, {(e,): -1 if j & 1 else 1})
+
+    return apply_dx_series(P, n, image, ring.nvars)

@@ -51,6 +51,9 @@ class Poly:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
+            for e in exp:
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise TypeError(f"exponent entries must be integers, not {type(e).__name__}")
             coeff = as_scalar(coeff)
             coeffs[exp] = coeffs[exp] + coeff if exp in coeffs else coeff
         den = math.lcm(*(c.denominator for c in coeffs.values()))

@@ -146,6 +146,8 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
             s = get(j, Fraction(1))
             d = 2 * j + degree
             return reduced(2, s.den, {(l, d - l): c for (l,), c in s.nums.items()})
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise TypeError(f"order must be an integer, not {type(j).__name__}")
         if j < 0:
             raise ValueError("order must be non-negative")
         key = a.numerator, a.denominator

@@ -393,6 +393,23 @@ def test_inv_laplacian_matches_fraction_reference(case):
     assert inv_laplacian(P, n).terms == ref_inv_laplacian(P.terms, n)
 
 
+def test_inv_laplacian_matches_reference_as_y_powers_leave_the_series():
+    # each image of y^m is grown from its image at j - 1, while the y^m parts
+    # leave the series at different j: the y^3 part after j = 0 (its x part is
+    # harmonic), the y part after j = 2 and the y^5 part after j = 3
+    n = 2
+    P = parse_poly("(x1^2 - x2^2)*y^3 + x1^6*y^5 + x2^4*y", n)
+    assert inv_laplacian(P, n).terms == ref_inv_laplacian(P.terms, n)
+
+
+def test_inv_laplacian_matches_reference_past_the_drawn_exponents():
+    # x1^(2j) y^m asks for the images of y^m up to order j, for j, m <= 40
+    for j in range(41):
+        for m in range(41):
+            P = Poly.monomial(2, (2 * j, m))
+            assert inv_laplacian(P, 1).terms == ref_inv_laplacian(P.terms, 1), (j, m)
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @given(case=st.integers(1, 3).flatmap(
     lambda n: st.tuples(st.just(n), term_maps(*[EXP] * n, st.just(0)))), a=widths)

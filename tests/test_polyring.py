@@ -169,6 +169,21 @@ def test_inexact_coefficient_in_a_term_map_is_rejected(value):
         Poly(2, [((0, 1), 1), ((0, 1), value)])
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, False, "2", Fraction(1)])
+def test_non_integer_exponent_entry_is_rejected(entry):
+    with pytest.raises(TypeError, match=f"exponent entries must be integers, not {type(entry).__name__}"):
+        Poly(2, {(entry, 0): 3})
+    with pytest.raises(TypeError, match="exponent entries must be integers"):
+        Poly.monomial(2, (0, entry))
+
+
+@pytest.mark.parametrize("entry", ["1.5", "true", '"2"'])
+def test_non_integer_exponent_entry_in_json_is_rejected(entry):
+    blob = f'{{"nvars": 2, "terms": [{{"exp": [{entry}, 0], "coeff": "3"}}]}}'
+    with pytest.raises(TypeError, match="exponent entries must be integers"):
+        Poly.from_json_dict(json.loads(blob))
+
+
 @pytest.mark.parametrize("value", INEXACT)
 def test_inexact_scalar_operand_is_rejected(value):
     # + and - go through _coerce

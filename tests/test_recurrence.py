@@ -63,6 +63,21 @@ def test_family_obeys_the_recurrence_at_random_widths(name, j, a):
     check_rule(name, j, a)
 
 
+@pytest.mark.parametrize("j", [True, False, 1.5, 2.0, Fraction(1), "1"], ids=repr)
+def test_family_refuses_an_order_that_is_not_an_int(j):
+    for family, _, _ in FAMILIES.values():
+        for a in WIDTHS:
+            with pytest.raises(TypeError, match=f"order must be an integer, not {type(j).__name__}"):
+                family(j, a)
+
+
+def test_moment_polynomial_refuses_an_order_that_is_not_an_int():
+    # f_poly(True) once returned f_2, and f_poly(1.5) failed on a list index
+    for m in (True, 1.5):
+        with pytest.raises(TypeError, match=f"order must be an integer, not {type(m).__name__}"):
+            dirichlet.f_poly(m)
+
+
 def _clear_family_caches():
     for family, _, _ in FAMILIES.values():
         family.cache_clear()
