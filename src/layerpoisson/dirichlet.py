@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .polyring import Poly
+from .polyring import Poly, check_integer
 from .series import boundary_data, correction, family, width
 
 AMode = Union[None, int, Fraction]  # None = keep a symbolic
@@ -41,6 +41,7 @@ _c_flip = family(__name__, "_c_flip", {(0, 0): 1, (1, -1): -1})
 
 def c_coeffs(M: int, a: AMode = None) -> list[Poly]:
     """Coefficients c_0 .. c_{2M} of t^{2m} in sinh(ty)/sinh(ta)."""
+    check_integer(M, "order must be an integer")
     a = width(a)
     return [(-1) ** m * _c(m, a) for m in range(M + 1)]
 
@@ -56,6 +57,8 @@ def multiindex_factor(m: Sequence[int]) -> Fraction:
     Equal to (prod (2mi)!) |m|! / (|2m|! prod mi!).
     """
     m = tuple(m)
+    for e in m:
+        check_integer(e, "multi-index entries must be integers")
     if any(e < 0 for e in m):
         raise ValueError("multi-index entries must be non-negative")
     total = sum(m)

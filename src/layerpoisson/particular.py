@@ -13,7 +13,7 @@ has total degree deg(P) + 2.  Within each call the images I_j y^m =
 
 from __future__ import annotations
 
-from .polyring import Poly, Ring, _lowest, check_dimension, lift
+from .polyring import Poly, Ring, check_dimension, lift
 from .series import apply_dx_series, normalize_index
 
 
@@ -50,12 +50,11 @@ def inv_laplacian(P: Poly, n: int) -> Poly:
         )
     dens = {}  # m -> the denominator of the last image of y^m
 
-    def image(j: int, m: int) -> Poly:
+    def image(j: int, m: int) -> tuple[int, dict]:
         # (-1)^j I_y^(j+1) y^m = (-1)^j y^e / ((m+1)...e), e = m+2j+2, from the last image:
-        # apply_dx_series asks for each y^m once at j = 0, 1, 2, ... in turn, since Δ_x
-        # leaves y exponents alone and a y^m part that Δ_x^j kills stays dead
+        # apply_dx_series asks for each y^m once at j = 0, 1, 2, ... in turn
         e = m + 2 * j + 2
         d = dens[m] = dens.get(m, 1) * (e - 1) * e
-        return _lowest(1, d, {(e,): -1 if j & 1 else 1})
+        return d, {(e,): -1 if j & 1 else 1}
 
-    return apply_dx_series(P, n, image, ring.nvars)
+    return apply_dx_series(P, n, lambda J: image, ring.nvars)

@@ -52,8 +52,7 @@ class Poly:
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
             for e in exp:
-                if isinstance(e, bool) or not isinstance(e, int):
-                    raise TypeError(f"exponent entries must be integers, not {type(e).__name__}")
+                check_integer(e, "exponent entries must be integers")
             coeff = as_scalar(coeff)
             coeffs[exp] = coeffs[exp] + coeff if exp in coeffs else coeff
         den = math.lcm(*(c.denominator for c in coeffs.values()))
@@ -177,7 +176,8 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        # a Poly is tested for first: isinstance against Fraction dispatches through its ABC
+        if not isinstance(other, Poly):
             r = as_scalar(other)
             nums = {exp: c * r.numerator for exp, c in self.nums.items()}
             return reduced(self.nvars, self.den * r.denominator, nums)
@@ -200,7 +200,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.const(self.nvars, 1)
+        result = _lowest(self.nvars, 1, {(0,) * self.nvars: 1})
         base = self
         while n:
             if n & 1:
@@ -272,7 +272,7 @@ class Poly:
         """Substitute r = p/q: every term c*v^e becomes c*p^(e-lo)*q^(hi-e) over p^-lo*q^hi."""
         exps = {exp[var] for exp in self.nums}
         lo, hi = min(exps, default=0), max(exps, default=0)
-        if not r:
+        if not r.numerator:
             if lo < 0:
                 raise ZeroDivisionError("substituting 0 into a negative power")
             kept = {exp: c for exp, c in self.nums.items() if not exp[var]}
@@ -532,10 +532,15 @@ class _Record:
 MAX_DIMENSION = 100_000
 
 
+def check_integer(value, message: str) -> None:
+    """Refuse a bool or any other non-int value: a TypeError, ``message`` and its type."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{message}, not {type(value).__name__}")
+
+
 def check_dimension(n) -> None:
     """Refuse a spatial dimension n unless it is an int, not bool, from 1 to ``MAX_DIMENSION``."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"spatial dimension must be an integer, not {type(n).__name__}")
+    check_integer(n, "spatial dimension must be an integer")
     if n < 1:
         raise ValueError("spatial dimension must be at least 1")
     if n > MAX_DIMENSION:

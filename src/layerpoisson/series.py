@@ -13,19 +13,22 @@ Dirichlet families, or s_j'(a) = 0 for the mixed ones.  ``member`` takes
 that step, s_j = -I_y s_{j-1} + c y, with the scalar c that meets the top
 condition.  ``family`` makes one y-family from its member at j = 0: a
 store of one list [s_0, s_1, ...] per rational width, grown in order by
-``member``; ``dirichlet`` and ``mixed`` make two families each.  A member
-at a positive rational width is a polynomial in y; at the symbolic width
-(None) it is a polynomial in (y, a), with negative powers of a where the
-degree is below that of y, read off the member at a = 1.
+``member`` and read once per series; ``dirichlet`` and ``mixed`` make two
+families each.  A member at a positive rational width is a polynomial in
+y; at the symbolic width (None) it is a polynomial in (y, a), with
+negative powers of a where the degree is below that of y, read off the
+member at a = 1.
 
-All of it runs on integers.  A step puts its integrated terms over one
-lcm, and sums the top value or slope at a = p/q over q^hi, as
-``solver._residual_parts`` does.  Each member returns through
-``reduced``.  ``apply_dx_series`` takes the integer
-content of each power Δ_x^j g out before any product and cancels it
-against each image's denominator once per image, as the factorials of
-Δ_x^j x^k and of the family cancel in the paper's binomial sums; its
-result is then reduced by a small common factor, not a large one.
+All of it runs on integers, with no ``Fraction`` arithmetic.  A seed
+goes over p^-lo q^hi; a step puts its integrated terms over one lcm and
+sums the top value or slope at a = p/q over q^hi, as
+``solver._residual_parts`` does.  ``apply_dx_series`` makes every power
+Δ_x^j g, j = 0..J, first, then asks its image source once, with J, for
+images as (den, nums) pairs; a family answers with one store lookup.  It
+takes the integer content of each power out before any product and
+cancels it against each image's denominator once per image, as the
+factorials of Δ_x^j x^k and of the family cancel in the paper's binomial
+sums; its result is then reduced by a small common factor, not a large one.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .polyring import Exponent, Poly, as_scalar, reduced, second_partials
+from .polyring import Exponent, Poly, _lowest, as_scalar, check_integer, reduced, second_partials
 
 Width = Optional[Fraction]  # None = keep a symbolic
 Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
-Image = Callable[[int, int], Poly]  # (j, m) -> T_j y^m, a Poly in y (and possibly a)
 
 
 def width(a: Union[None, int, Fraction]) -> Width:
@@ -48,7 +50,7 @@ def width(a: Union[None, int, Fraction]) -> Width:
     if a is None:
         return None
     a = as_scalar(a)
-    if a <= 0:
+    if a.numerator <= 0:
         raise ValueError("layer width must be positive")
     return a
 
@@ -67,8 +69,7 @@ def normalize_index(k, n: int) -> tuple[int, ...]:
     if len(k) != n:
         raise ValueError(f"multi-index length {len(k)} does not match n={n}")
     for e in k:
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise TypeError(f"multi-index entries must be integers, not {type(e).__name__}")
+        check_integer(e, "multi-index entries must be integers")
     if any(e < 0 for e in k):
         raise ValueError("multi-index entries must be non-negative")
     return k
@@ -85,8 +86,11 @@ def boundary_data(g, n: int) -> Poly:
 
 def seed(p: int, q: int, terms: dict[tuple[int, int], int]) -> Poly:
     """Σ c y^l a^k over ``terms`` {(l, k): c}, at width a = p/q: a Poly in y."""
-    a = Fraction(p, q)
-    return Poly(1, {(l,): c * a ** k for (l, k), c in terms.items()})
+    # c (p/q)^k = c p^(k-lo) q^(hi-k) / (p^-lo q^hi), for lo <= 0 <= hi bounding every k
+    ks = [k for _, k in terms]
+    lo, hi = min(0, *ks), max(0, *ks)
+    return reduced(1, p ** -lo * q ** hi,
+                   {(l,): c * p ** (k - lo) * q ** (hi - k) for (l, k), c in terms.items()})
 
 
 def member(prev: Poly, p: int, q: int, slope: bool) -> Poly:
@@ -119,6 +123,7 @@ def member(prev: Poly, p: int, q: int, slope: bool) -> Poly:
 _MAX_MEMBERS = 1024
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_UNIT = Fraction(1)  # the width whose members give the symbolic ones
 
 
 def family(module: str, name: str, first: dict[tuple[int, int], int], slope: bool = False) -> Family:
@@ -126,8 +131,10 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
 
     s_j(a) = 0 is its top condition, or ∂_y s_j(a) = 0 when ``slope``.  The
     family keeps one list [s_0, s_1, ...] per width p/q, grown in order by
-    ``member``, so a cold s_j takes j steps and no lookups.  A lookup is a
-    hit when s_j is already stored.  The widths are kept in an
+    ``member``.  A lookup, ``members(J, a)``, returns that list, grown to s_J
+    first, for the caller to read: a series reads s_0 .. s_J in one lookup,
+    and a cold s_J takes J steps.  ``get(j, a)`` is s_j, through a lookup.
+    A lookup is a hit when s_J is already stored.  The widths are kept in an
     ``OrderedDict`` in recency order; when more than ``_MAX_MEMBERS``
     members are held, the least recently used widths are dropped whole,
     never the one in use.  The symbolic width is read from the unit-width
@@ -140,35 +147,39 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
     hits = misses = held = 0
     lock = threading.Lock()  # one thread at a time reads, grows or evicts
 
-    def get(j: int, a: Width) -> Poly:
+    def symbolic(s: Poly, j: int) -> Poly:
+        d = 2 * j + degree
+        return _lowest(2, s.den, {(l, d - l): c for (l,), c in s.nums.items()})
+
+    def members(J: int, a: Width) -> list[Poly]:
         nonlocal hits, misses, held
         if a is None:
-            s = get(j, Fraction(1))
-            d = 2 * j + degree
-            return reduced(2, s.den, {(l, d - l): c for (l,), c in s.nums.items()})
-        if isinstance(j, bool) or not isinstance(j, int):
-            raise TypeError(f"order must be an integer, not {type(j).__name__}")
-        if j < 0:
-            raise ValueError("order must be non-negative")
+            return list(map(symbolic, members(J, _UNIT)[:J + 1], range(J + 1)))
         key = a.numerator, a.denominator
         with lock:
-            members = lists.get(key)
-            if members is not None:
+            found = lists.get(key)
+            if found is not None:
                 lists.move_to_end(key)
-                if j < len(members):
+                if J < len(found):
                     hits += 1
-                    return members[j]
+                    return found
             misses += 1
-            if members is None:
-                members = lists[key] = [seed(*key, first)]
+            if found is None:
+                found = lists[key] = [seed(*key, first)]
                 held += 1
             p, q = key
-            while len(members) <= j:
-                members.append(member(members[-1], p, q, slope))
+            while len(found) <= J:
+                found.append(member(found[-1], p, q, slope))
                 held += 1
             while held > _MAX_MEMBERS and len(lists) > 1:
                 held -= len(lists.popitem(last=False)[1])
-            return members[j]
+            return found
+
+    def get(j: int, a: Width) -> Poly:
+        check_integer(j, "order must be an integer")
+        if j < 0:
+            raise ValueError("order must be non-negative")
+        return members(j, a)[j] if a is not None else symbolic(members(j, _UNIT)[j], j)
 
     def cache_info() -> _CacheInfo:
         return _CacheInfo(hits, misses, _MAX_MEMBERS, held)
@@ -180,7 +191,7 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
             hits = misses = held = 0
 
     get.__module__, get.__name__, get.__qualname__ = module, name, name
-    get.cache_info, get.cache_clear = cache_info, cache_clear
+    get.members, get.cache_info, get.cache_clear = members, cache_info, cache_clear
     return get
 
 
@@ -189,52 +200,63 @@ def quotient(name: str, j: int) -> tuple[int, int]:
 
     Each is the y coefficient of a unit-width family member: t/sinh t of
     ``_c(j)``, t coth t of ``-_c_flip(j)``, tanh(t)/t of ``_d(j + 1)`` and
-    sech t of ``_e(j)``.
+    sech t of ``_e(j)``.  A negative ``j`` gives (0, 1).
     """
-    if j < 0:
-        return 0, 1
+    check_integer(j, "order must be an integer")
     from . import dirichlet, mixed  # both import this module
 
-    family, i, sign = {
+    quotients = {
         "t/sinh t": (dirichlet._c, j, 1),
         "t coth t": (dirichlet._c_flip, j, -1),
         "tanh(t)/t": (mixed._d, j + 1, 1),
         "sech t": (mixed._e, j, 1),
-    }[name]
-    s = family(i, Fraction(1))
+    }
+    if name not in quotients:
+        raise ValueError(f"unknown quotient {name!r}; expected one of {', '.join(map(repr, quotients))}")
+    if j < 0:
+        return 0, 1
+    family, i, sign = quotients[name]
+    s = family(i, _UNIT)
     num = sign * s.nums.get((1,), 0)
     g = math.gcd(num, s.den)
     return num // g, s.den // g
 
 
-def apply_dx_series(g: Poly, n: int, image: Image, nvars: int) -> Poly:
+def apply_dx_series(g: Poly, n: int, images: Callable[[int], Callable], nvars: int) -> Poly:
     """The series Σ_j T_j Δ_x^j g, a Poly in ``nvars`` variables.
 
-    ``g`` lives in the ring x1..xn, y.  ``image(j, m)`` is T_j y^m; each
-    output key is the x exponent of a term of Δ_x^j g followed by an
-    exponent of that image.  Δ_x^j g is k_j h_j / g.den with h_j primitive;
-    the content k_j is cancelled against each image's denominator once per
-    image, and the images, each scaled by what is left of k_j, are put over
-    the lcm L of their reduced denominators.  So the sum is accumulated in
-    integers over g.den*L, and ``reduced`` finds only a small gcd.
+    ``g`` lives in the ring x1..xn, y.  Every power Δ_x^j g, j = 0..J, is
+    made first; then ``images(J)``, called once, gives ``image(j, m)``: T_j
+    y^m as a pair (den, nums) that is only read.  For each y^m it is asked
+    for j = 0, 1, 2, ... in turn, since Δ_x keeps y exponents and a y^m part
+    it kills stays dead; ``particular.inv_laplacian`` grows its images in
+    that order.  Each output key is the x exponent of a term of Δ_x^j g
+    followed by an exponent of that image.  Δ_x^j g is k_j h_j / g.den with
+    h_j primitive; the content k_j is cancelled against each image's
+    denominator once per image, and the images, each scaled by what is left
+    of k_j, are put over the lcm L of their reduced denominators.  So the
+    sum is accumulated in integers over g.den*L, and ``reduced`` finds only
+    a small gcd.
     """
-    powers = []  # (h_j, {m: (numerators of T_j y^m, its den / r, k_j / r)}), r = gcd(k_j, den)
-    dens = set()  # the reduced image denominators, whose lcm is L
-    h, k, j = g.nums, 1, 0
+    powers = []  # (h_j, k_j), then (h_j, {m: (nums of T_j y^m, den / r, k_j / r)}), r = gcd(k_j, den)
+    h, k = g.nums, 1
     while h:
         c = math.gcd(*h.values())
         if c != 1:
             h, k = {exp: v // c for exp, v in h.items()}, k * c
+        powers.append((h, k))
+        h = second_partials(h, n)
+    image = images(len(powers) - 1)
+    dens = set()  # the reduced image denominators, whose lcm is L
+    for j, (h, k) in enumerate(powers):
         used = {}
         for m in {e[n] for e in h}:
-            t = image(j, m)
-            r = math.gcd(k, t.den)
-            d = t.den // r
-            used[m] = t.nums, d, k // r
+            den, nums = image(j, m)
+            r = math.gcd(k, den)
+            d = den // r
+            used[m] = nums, d, k // r
             dens.add(d)
-        powers.append((h, used))
-        h = second_partials(h, n)
-        j += 1
+        powers[j] = h, used
     L = math.lcm(*dens)
     out: dict[Exponent, int] = {}
     for h, used in powers:
@@ -253,7 +275,12 @@ def apply_dx_series(g: Poly, n: int, image: Image, nvars: int) -> Poly:
 def correction(family: Family, g: Poly, n: int, a: Width) -> Poly:
     """Σ_j s_j(y) Δ_x^j g for y-free data g: the harmonic extension it names.
 
-    The result lives in x1..xn, y, followed by a when the width is symbolic.
+    The result lives in x1..xn, y, followed by a when the width is symbolic;
+    the series reads s_0 .. s_J with one ``family.members(J, a)`` lookup.
     """
-    # g is free of y, so the image of y^m is only asked for m = 0
-    return apply_dx_series(g, n, lambda j, m: family(j, a), n + 1 + (a is None))
+    def images(J: int):
+        members = family.members(J, a)
+        # g is free of y, so the image of y^m is only asked for m = 0
+        return lambda j, m: (members[j].den, members[j].nums)
+
+    return apply_dx_series(g, n, images, n + 1 + (a is None))

@@ -197,3 +197,20 @@ def test_rejects_a_multi_index_entry_that_is_not_an_int(k, n, name):
         basis_u(k, n, 1)
     with pytest.raises(TypeError, match=f"^multi-index entries must be integers, not {name}$"):
         inv_laplacian_monomial(k, 0, n)
+
+
+@pytest.mark.parametrize("M", [True, 1.5, 2.0, Fraction(1), "1"], ids=repr)
+def test_coefficient_list_refuses_an_order_that_is_not_an_int(M):
+    # c_coeffs(True) once returned two coefficients, and c_coeffs(1.5) failed in range
+    with pytest.raises(TypeError, match=f"^order must be an integer, not {type(M).__name__}$"):
+        c_coeffs(M)
+
+
+@pytest.mark.parametrize("m, name", [
+    ((True, 0), "bool"), ((1, False), "bool"), ((1.5, 0), "float"), ((Fraction(1), 2), "Fraction"),
+], ids=["bool", "bool-second", "float", "Fraction"])
+def test_multiindex_factor_refuses_an_entry_that_is_not_an_int(m, name):
+    # multiindex_f((True, 0)) once equalled multiindex_f((1, 0))
+    for fn in (multiindex_factor, multiindex_f):
+        with pytest.raises(TypeError, match=f"^multi-index entries must be integers, not {name}$"):
+            fn(m)

@@ -8,6 +8,7 @@ j = 0.  At the symbolic width a member is a Poly in (y, a), and its top
 value is taken by substituting the Poly a for y.
 """
 
+import math
 import sys
 from fractions import Fraction
 
@@ -210,3 +211,64 @@ def test_threads_growing_one_family_get_the_members_of_a_serial_build():
     finally:
         sys.setswitchinterval(interval)
         _clear_family_caches()
+
+
+def test_quotient_refuses_an_order_that_is_not_an_int():
+    # quotient("tanh(t)/t", True) once returned the coefficient at j = 1
+    for j in (True, False, 1.5, 2.0, Fraction(1), "1"):
+        for name in ("t/sinh t", "t coth t", "tanh(t)/t", "sech t"):
+            with pytest.raises(TypeError, match=f"^order must be an integer, not {type(j).__name__}$"):
+                series.quotient(name, j)
+
+
+@pytest.mark.parametrize("j", [-1, 0, 3])
+def test_quotient_names_the_four_quotients_for_an_unknown_name(j):
+    with pytest.raises(ValueError, match="unknown quotient 'tanh t'") as info:
+        series.quotient("tanh t", j)
+    for name in ("t/sinh t", "t coth t", "tanh(t)/t", "sech t"):
+        assert repr(name) in str(info.value)
+
+
+# -- one store lookup per series
+
+
+def _lookups(family):
+    info = family.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize("a", [Fraction(7, 3), None], ids=repr)
+def test_a_correction_reads_its_family_with_one_lookup(a):
+    n = 2
+    bases = ((dirichlet.basis_u, dirichlet._c), (dirichlet.basis_v, dirichlet._c_flip),
+             (mixed.mixed_basis_u, mixed._d), (mixed.mixed_basis_v, mixed._e))
+    # x1^10 + x2^6 has six Δ_x powers: the series reads s_0 .. s_5 with one lookup,
+    # and a second series reads them again with one hit
+    g = Poly(3, {(10, 0, 0): 1, (0, 6, 0): Fraction(1, 3)})
+    for basis, family in bases:
+        _clear_family_caches()
+        try:
+            basis(g, n, a)
+            assert _lookups(family) == 1
+            assert family.cache_info().currsize == 6
+            basis(g, n, a)
+            assert (family.cache_info().hits, family.cache_info().misses) == (1, 1)
+        finally:
+            _clear_family_caches()
+
+
+def test_a_harmonic_datum_grows_only_the_first_member():
+    # Re (x1 + i x2)^40 is harmonic, so its series is one power and needs s_0
+    # alone; a bound from the degree of the data would grow 20 members
+    n = 2
+    g = Poly(3, {(40 - k, k, 0): (-1) ** (k // 2) * math.comb(40, k) for k in range(0, 41, 2)})
+    assert g.laplacian(n).is_zero()
+    for basis, family in ((dirichlet.basis_u, dirichlet._c), (mixed.mixed_basis_v, mixed._e)):
+        _clear_family_caches()
+        try:
+            u = basis(g, n, Fraction(7, 3))
+            assert _lookups(family) == 1
+            assert family.cache_info().currsize == 1
+            assert u.laplacian(n).is_zero()
+        finally:
+            _clear_family_caches()

@@ -1,8 +1,12 @@
+import abc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from layerpoisson import dirichlet, mixed
+from layerpoisson.parsing import parse_poly
 from layerpoisson.particular import inv_laplacian_monomial_alt
 from layerpoisson.polyring import Poly, Ring
 from layerpoisson.solver import LayerProblem, rectangle_trace, solve, verify
@@ -236,3 +240,36 @@ def test_particular_solution_independence():
     for exp, coeff in upper_corr.terms.items():
         u = u + coeff * dirichlet.basis_u(exp[:1], 1, problem.a)
     assert u == EXAMPLE_1_SOLUTION
+
+
+def test_solve_runs_on_plain_integers():
+    # parse, LayerProblem and solve at width 7/3 from cold family stores make no
+    # Fraction and no ABC dispatch: sys.setprofile sees every Python-level call,
+    # and in fractions.py only the width's numerator and denominator may run
+    fractions_file = Fraction.__new__.__code__.co_filename
+    allowed = {Fraction.numerator.fget.__code__, Fraction.denominator.fget.__code__}
+    dispatch = {abc.ABCMeta.__instancecheck__.__code__, abc.ABCMeta.__subclasscheck__.__code__}
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code in dispatch or code.co_filename == fractions_file
+                                and code not in allowed):
+            seen.append((code.co_name, frame.f_back.f_code.co_name))
+
+    a = Fraction(7, 3)
+    cases = [(1, "dirichlet", "x"), (1, "mixed", "x"), (2, "dirichlet", "x1"), (2, "mixed", "x2")]
+    for n, kind, x in cases:
+        for family in (dirichlet._c, dirichlet._c_flip, mixed._d, mixed._e):
+            family.cache_clear()
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            rhs = parse_poly(f"3/4*{x}^4*y^3 - (2*{x} + y)^3", n)
+            lower = parse_poly(f"8*{x}^4 - 8*{x}^2 + 1/5", n)
+            upper = parse_poly(f"{x}^6 - 2/7*{x}", n)
+            report = solve(LayerProblem(n=n, a=a, kind=kind, rhs=rhs, lower=lower, upper=upper))
+        finally:
+            sys.setprofile(outer)
+        assert report.verified
+    assert seen == []
