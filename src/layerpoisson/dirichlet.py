@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .polyring import Poly, check_integer
-from .series import boundary_data, correction, family, width
+from .series import boundary_data, correction, family, normalize_index, width
 
 AMode = Union[None, int, Fraction]  # None = keep a symbolic
 
@@ -57,10 +57,7 @@ def multiindex_factor(m: Sequence[int]) -> Fraction:
     Equal to (prod (2mi)!) |m|! / (|2m|! prod mi!).
     """
     m = tuple(m)
-    for e in m:
-        check_integer(e, "multi-index entries must be integers")
-    if any(e < 0 for e in m):
-        raise ValueError("multi-index entries must be non-negative")
+    normalize_index(m, len(m))
     total = sum(m)
     num = math.factorial(total)
     den = math.factorial(2 * total)

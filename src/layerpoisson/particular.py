@@ -13,7 +13,7 @@ has total degree deg(P) + 2.  Within each call the images I_j y^m =
 
 from __future__ import annotations
 
-from .polyring import Poly, Ring, check_dimension, lift
+from .polyring import Poly, check_data, check_dimension, lift
 from .series import apply_dx_series, normalize_index
 
 
@@ -23,8 +23,6 @@ def inv_laplacian_monomial(k, m: int, n: int) -> Poly:
     u = sum_{j=0}^{floor(|k|/2)} (-1)^j m!/(m+2j+2)! y^(m+2j+2) lap_x^j x^k
     """
     check_dimension(n)
-    if m < 0:
-        raise ValueError("y-exponent must be non-negative")
     k = normalize_index(k, n)
     return inv_laplacian(Poly.monomial(n + 1, k + (m,)), n)
 
@@ -36,18 +34,12 @@ def inv_laplacian_monomial_alt(k: int, m: int) -> Poly:
 
     which is the y-integrated solution for x^m y^k with x and y swapped.
     """
-    if k < 0 or m < 0:
-        raise ValueError("exponents must be non-negative")
     return lift(inv_laplacian(Poly.monomial(2, (m, k)), 1), 2, (1, 0))
 
 
 def inv_laplacian(P: Poly, n: int) -> Poly:
     """Particular solution of laplacian(u, n) = P: the I_y series on all of P."""
-    ring = Ring(n)
-    if P.nvars != ring.nvars:
-        raise ValueError(
-            f"right-hand side must live in the {ring.nvars}-variable ring x1..x{n}, y"
-        )
+    check_data(P, n, "right-hand side")
     dens = {}  # m -> the denominator of the last image of y^m
 
     def image(j: int, m: int) -> tuple[int, dict]:
@@ -57,4 +49,4 @@ def inv_laplacian(P: Poly, n: int) -> Poly:
         d = dens[m] = dens.get(m, 1) * (e - 1) * e
         return d, {(e,): -1 if j & 1 else 1}
 
-    return apply_dx_series(P, n, lambda J: image, ring.nvars)
+    return apply_dx_series(P, n, lambda J: image, n + 1)

@@ -14,10 +14,10 @@ freely between threads.
 
 Variable convention used throughout the package: the first ``n`` slots are
 the spatial variables x1..xn, the next slot is the vertical variable y,
-and an optional last slot holds the formal layer-width symbol ``a``.  The
-``a`` slot is the only one allowed to carry a negative exponent (the
-harmonic-basis families carry a single overall 1/a factor); the spatial
-and vertical exponents are always non-negative.
+and an optional last slot holds the formal layer-width symbol ``a``.  Only
+the ``a`` slot may carry a negative exponent (the harmonic-basis families
+carry one overall 1/a factor); ``check_data`` refuses other data at the
+solver's entry points.  ``second_partials`` takes any integer exponent.
 
 Every scalar that enters a ``Poly`` (a coefficient, an operand of ``+``,
 ``-``, ``*`` or ``/``, a substituted value, an evaluation point) passes
@@ -462,7 +462,7 @@ def second_partials(nums: Mapping[Exponent, int], count: int) -> dict[Exponent, 
         key = list(exp)
         for var in range(count):
             e = key[var]
-            if e >= 2:
+            if e >= 2 or e < 0:  # e(e-1) x^(e-2) is zero only for e in {0, 1}
                 key[var] = e - 2
                 k = tuple(key)
                 key[var] = e
@@ -545,6 +545,14 @@ def check_dimension(n) -> None:
         raise ValueError("spatial dimension must be at least 1")
     if n > MAX_DIMENSION:
         raise ValueError(f"spatial dimension must be at most {MAX_DIMENSION}")
+
+
+def check_data(p, n: int, name: str) -> None:
+    """Refuse solver data unless it is a Poly in x1..xn, y with no negative exponent."""
+    if not isinstance(p, Poly) or p.nvars != n + 1:
+        raise ValueError(f"{name} must be a Poly in the ring x1..x{n}, y")
+    if min(map(min, p.nums), default=0) < 0:
+        raise ValueError(f"{name} must have no negative exponent")
 
 
 class Ring(_Record):

@@ -39,7 +39,7 @@ from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .polyring import Exponent, Poly, _lowest, as_scalar, check_integer, reduced, second_partials
+from .polyring import Exponent, Poly, _lowest, as_scalar, check_data, check_integer, reduced, second_partials
 
 Width = Optional[Fraction]  # None = keep a symbolic
 Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
@@ -78,9 +78,10 @@ def normalize_index(k, n: int) -> tuple[int, ...]:
 def boundary_data(g, n: int) -> Poly:
     """Boundary data as a Poly in x1..xn, y: x^k for a multi-index k, or g itself."""
     if not isinstance(g, Poly):
-        return Poly.monomial(n + 1, normalize_index(g, n) + (0,))
-    if g.nvars != n + 1 or g.degree_in(n) > 0:
-        raise ValueError(f"boundary data must be a Poly in x1..x{n}, y free of y")
+        return reduced(n + 1, 1, {normalize_index(g, n) + (0,): 1})
+    check_data(g, n, "boundary data")
+    if g.degree_in(n) > 0:
+        raise ValueError("boundary data must not involve y")
     return g
 
 

@@ -20,7 +20,7 @@ from typing import Literal
 
 from . import dirichlet, mixed
 from .particular import inv_laplacian
-from .polyring import Poly, Ring, _Record, as_scalar, check_dimension, lift, poly_sum, reduced
+from .polyring import Poly, Ring, _Record, as_scalar, check_data, check_dimension, lift, poly_sum, reduced
 from .series import width
 
 Kind = Literal["dirichlet", "mixed"]
@@ -31,7 +31,7 @@ class LayerProblem(_Record):
 
     ``lower`` is the prescribed value at y=0.  ``upper`` is the value at
     y=a for a Dirichlet problem, or the y-derivative at y=a for a mixed
-    problem.  All three data polynomials live in the ring x1..xn, y; the
+    problem.  The three data polynomials pass ``check_data``, and the
     boundary polynomials must not involve y.  n is at most ``MAX_DIMENSION``.
     """
 
@@ -44,10 +44,8 @@ class LayerProblem(_Record):
         a = width(a)
         if kind not in ("dirichlet", "mixed"):
             raise ValueError(f"unknown problem kind {kind!r}")
-        nvars = n + 1
         for name, p in (("rhs", rhs), ("lower", lower), ("upper", upper)):
-            if not isinstance(p, Poly) or p.nvars != nvars:
-                raise ValueError(f"{name} must be a Poly in the ring x1..x{n}, y")
+            check_data(p, n, name)
         for name, p in (("lower", lower), ("upper", upper)):
             if p.degree_in(n) != 0:
                 raise ValueError(f"boundary polynomial {name} must not involve y")
@@ -168,7 +166,7 @@ def _residual_parts(u: Poly, problem: LayerProblem) -> tuple[Poly, Poly, Poly]:
             trace += c * scale[e]
         top[base] = trace
         for v, xv in enumerate(x):
-            if xv >= 2:
+            if xv >= 2 or xv < 0:
                 f = xv * (xv - 1)
                 shifted = x[:v] + (xv - 2,) + x[v + 1:]
                 out = lap.get(shifted)

@@ -210,6 +210,31 @@ def test_laplacian_matches_fraction_reference(case):
     assert p.laplacian(n).terms == ref_second_partials(p.terms, n + 1)
 
 
+def ref_laurent_second_partials(terms, count):
+    """Σ e(e-1) c x^(e-2) over every variable and every integer exponent e."""
+    out = {}
+    for exp, c in terms.items():
+        for var in range(count):
+            e = exp[var]
+            key = exp[:var] + (e - 2,) + exp[var + 1:]
+            out[key] = out.get(key, Fraction(0)) + c * e * (e - 1)
+    return {exp: c for exp, c in out.items() if c}
+
+
+SIGNED = st.integers(-3, 5)  # x and y exponents of either sign
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), term_maps(*[SIGNED] * (n + 1), LAURENT))))
+@settings(max_examples=100, deadline=None)
+def test_laplacian_of_negative_powers_matches_fraction_reference(case):
+    # x^-1 has the second derivative 2 x^-3, not 0; the width slot is left alone
+    n, terms = case
+    p = Poly(n + 2, terms)
+    expected = ref_laurent_second_partials(p.terms, n + 1)
+    assert p.laplacian(n).terms == expected
+    assert reduced(n + 2, p.den, second_partials(p.nums, n + 1)).terms == expected
+
+
 laurent_terms = term_maps(EXP, EXP, LAURENT)  # x1, y, a
 
 

@@ -229,6 +229,13 @@ def test_diff_of_a_negative_power():
     assert P("y*a^-2 + a", YA).diff(1) == P("-2*y*a^-3 + 1", YA)
 
 
+def test_laplacian_of_a_negative_power():
+    # the second partial in x of 1/2*x^-1*y^2 is x^-3*y^2; it was once left out
+    assert Poly(2, {(-1, 2): Fraction(1, 2)}).laplacian(1) == P("x1^-1 + x1^-3*y^2")
+    assert P("x1^-2*x2^3", ("x1", "x2", "y")).laplacian(2) == P("6*x1^-4*x2^3 + 6*x1^-2*x2",
+                                                                ("x1", "x2", "y"))
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_comparison_with_a_bool_is_false(flag):
     p = Poly.const(2, 1)

@@ -85,6 +85,14 @@ def test_edge_cases_match_the_composition(text, kind):
     assert verify(u, problem) == ref_verify(u, problem)
 
 
+@pytest.mark.parametrize("kind", ["dirichlet", "mixed"])
+def test_the_laplacian_of_a_negative_x_power_is_not_skipped(kind):
+    # u = 2*x^-3 once read residual_pde 0 against zero data
+    report = verify(P("2*x1^-3"), _problem(1, kind, Fraction(1)))
+    assert report.residual_pde == P("24*x1^-5")
+    assert not report.verified
+
+
 def test_mixed_solution_with_only_y0_terms_has_zero_top_trace():
     u = P("x1^2 - 2/3*x1 + 4")
     report = verify(u, _problem(1, "mixed"))
