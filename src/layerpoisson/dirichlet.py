@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .polyring import Poly, check_integer
+from .polyring import Poly, check_index
 from .series import boundary_data, correction, family, normalize_index, width
 
 AMode = Union[None, int, Fraction]  # None = keep a symbolic
@@ -41,7 +41,7 @@ _c_flip = family(__name__, "_c_flip", {(0, 0): 1, (1, -1): -1})
 
 def c_coeffs(M: int, a: AMode = None) -> list[Poly]:
     """Coefficients c_0 .. c_{2M} of t^{2m} in sinh(ty)/sinh(ta)."""
-    check_integer(M, "order must be an integer")
+    check_index(M, "order")
     a = width(a)
     return [(-1) ** m * _c(m, a) for m in range(M + 1)]
 

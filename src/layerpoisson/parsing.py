@@ -241,6 +241,8 @@ class _Parser:
 def parse_expr(text: str, names: Sequence[str], allow_negative_exponents: bool = False) -> Poly:
     """Parse an expression over the given variable names into a Poly."""
     slots = {name: i for i, name in enumerate(names)}
+    if len(slots) < len(names):
+        raise ValueError("variable names must be distinct")
     return _Parser(text, slots, len(names), allow_negative_exponents).parse()
 
 

@@ -19,10 +19,12 @@ the ``a`` slot may carry a negative exponent (the harmonic-basis families
 carry one overall 1/a factor); ``check_data`` refuses other data at the
 solver's entry points.  ``second_partials`` takes any integer exponent.
 
-Every scalar that enters a ``Poly`` (a coefficient, an operand of ``+``,
-``-``, ``*`` or ``/``, a substituted value, an evaluation point) passes
-``as_scalar``: it must be an ``int`` or a ``Fraction``; ``float`` and
-``bool`` are refused, so no inexact value reaches the exact path.
+Three entry rules.  A scalar that enters a ``Poly`` (a coefficient, an
+operand, a substituted value, an evaluation point) passes ``as_scalar``,
+which refuses ``float`` and ``bool``; solver data passes ``check_data``; a
+shape argument (a ring size, index, order or position, or a sequence of one
+entry per variable) passes ``check_index`` or ``check_length``.  Variable
+names, for the renderers and ``parsing.parse_expr``, must be distinct.
 """
 
 from __future__ import annotations
@@ -43,14 +45,12 @@ class Poly:
     __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | Iterable = ()):
-        if nvars < 0:
-            raise ValueError("nvars must be non-negative")
+        check_index(nvars, "nvars")
         items = terms.items() if isinstance(terms, Mapping) else terms
         coeffs: dict[Exponent, Fraction] = {}
         for exp, coeff in items:
             exp = tuple(exp)
-            if len(exp) != nvars:
-                raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
+            check_length(exp, nvars, "exponent")
             for e in exp:
                 check_integer(e, "exponent entries must be integers")
             coeff = as_scalar(coeff)
@@ -102,11 +102,8 @@ class Poly:
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exp = [0] * nvars
-        exp[index] = 1
-        return Poly(nvars, {tuple(exp): Fraction(1)})
+        check_index(index, "variable index", nvars)
+        return Poly(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): 1})
 
     @staticmethod
     def monomial(nvars: int, exp: Sequence[int], coeff: Scalar = 1) -> "Poly":
@@ -138,6 +135,7 @@ class Poly:
         return max(sum(exp) for exp in self.nums)
 
     def degree_in(self, var: int) -> int:
+        check_index(var, "variable index", self.nvars)
         if not self.nums:
             return 0
         return max(exp[var] for exp in self.nums)
@@ -198,8 +196,7 @@ class Poly:
         return self * (1 / other)
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        check_index(n, "exponent")
         result = _lowest(self.nvars, 1, {(0,) * self.nvars: 1})
         base = self
         while n:
@@ -214,10 +211,8 @@ class Poly:
 
     def diff(self, var: int, order: int = 1) -> "Poly":
         """Partial derivative of the given order with respect to one variable."""
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range")
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        check_index(var, "variable index", self.nvars)
+        check_index(order, "order")
         if order == 0:
             return self
         out: dict[Exponent, int] = {}
@@ -236,8 +231,7 @@ class Poly:
 
     def laplacian(self, n: int) -> "Poly":
         """Sum of second partials in x1..xn and y (variables 0..n)."""
-        if n + 1 > self.nvars:
-            raise ValueError(f"spatial dimension {n} exceeds available variables")
+        check_index(n, "spatial dimension", self.nvars)
         return reduced(self.nvars, self.den, second_partials(self.nums, n + 1))
 
     # -- substitution / evaluation ----------------------------------------
@@ -248,8 +242,7 @@ class Poly:
         A negative exponent on the substituted variable is only allowed for
         a nonzero scalar value (the Laurent slot for the width symbol).
         """
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range")
+        check_index(var, "variable index", self.nvars)
         if not isinstance(value, Poly):
             return self._subs_scalar(var, as_scalar(value))
         value = self._coerce(value)
@@ -288,8 +281,7 @@ class Poly:
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
+        check_length(point, self.nvars, "point")
         pt = [as_scalar(v) for v in point]
         total = 0
         for exp, c in self.nums.items():
@@ -301,8 +293,7 @@ class Poly:
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Floating-point value, for the numeric cross-check module only."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
+        check_length(point, self.nvars, "point")
         total = 0.0
         for exp, c in self.nums.items():
             val = c / self.den  # int / int is correctly rounded, as float(Fraction) is
@@ -476,8 +467,13 @@ def lift(p: Poly, nvars: int, positions: Sequence[int | None]) -> Poly:
     ``positions[i]`` is the index of old variable i in the new ring, or None
     if the variable is dropped (every term must then have exponent 0 there).
     """
-    if len(positions) != p.nvars:
-        raise ValueError("positions must list every old variable")
+    check_index(nvars, "nvars")
+    check_length(positions, p.nvars, "positions")
+    kept = [pos for pos in positions if pos is not None]
+    for pos in kept:
+        check_index(pos, "position", nvars)
+    if len(set(kept)) < len(kept):
+        raise ValueError("positions must be distinct")
     out: dict[Exponent, int] = {}
     for exp, c in p.nums.items():
         new = [0] * nvars
@@ -538,6 +534,20 @@ def check_integer(value, message: str) -> None:
         raise TypeError(f"{message}, not {type(value).__name__}")
 
 
+def check_index(value, what: str, size: int | None = None) -> None:
+    """Refuse a shape argument unless it is an int, not bool, at least 0 and below ``size`` if given."""
+    check_integer(value, f"{what} must be an integer")
+    if value < 0 or size is not None and value >= size:
+        bound = "non-negative" if size is None else f"in range({size})"
+        raise ValueError(f"{what} must be {bound}, not {value}")
+
+
+def check_length(seq, size: int, what: str) -> None:
+    """Refuse a sequence that must hold one entry per variable unless it has ``size`` entries."""
+    if len(seq) != size:
+        raise ValueError(f"{what} has length {len(seq)}, expected {size}")
+
+
 def check_dimension(n) -> None:
     """Refuse a spatial dimension n unless it is an int, not bool, from 1 to ``MAX_DIMENSION``."""
     check_integer(n, "spatial dimension must be an integer")
@@ -548,7 +558,8 @@ def check_dimension(n) -> None:
 
 
 def check_data(p, n: int, name: str) -> None:
-    """Refuse solver data unless it is a Poly in x1..xn, y with no negative exponent."""
+    """Refuse solver data unless it is a Poly in x1..xn, y, n a dimension, with no negative exponent."""
+    check_dimension(n)
     if not isinstance(p, Poly) or p.nvars != n + 1:
         raise ValueError(f"{name} must be a Poly in the ring x1..x{n}, y")
     if min(map(min, p.nums), default=0) < 0:
@@ -565,6 +576,7 @@ class Ring(_Record):
     _fields = ("n", "formal_a")
 
     def __init__(self, n: int, formal_a: bool = False):
+        check_index(n, "spatial dimension")
         super().__init__(n, formal_a)
 
     @property
@@ -595,8 +607,7 @@ class Ring(_Record):
         return Poly.const(self.nvars, value)
 
     def x(self, i: int) -> Poly:
-        if not 0 <= i < self.n:
-            raise ValueError(f"spatial index {i} out of range for n={self.n}")
+        check_index(i, "spatial index", self.n)
         return Poly.variable(self.nvars, i)
 
     def y_var(self) -> Poly:
@@ -607,10 +618,8 @@ class Ring(_Record):
 
     def x_monomial(self, k: Sequence[int], coeff: Scalar = 1) -> Poly:
         """The monomial x1^k1 * ... * xn^kn."""
-        if len(k) != self.n:
-            raise ValueError("multi-index length must equal the spatial dimension")
-        exp = list(k) + [0] * (self.nvars - self.n)
-        return Poly.monomial(self.nvars, exp, coeff)
+        check_length(k, self.n, "multi-index")
+        return Poly.monomial(self.nvars, tuple(k) + (0,) * (self.nvars - self.n), coeff)
 
 
 def _latex_name(name: str) -> str:
@@ -625,8 +634,9 @@ def _render(p: Poly, names: Sequence[str], latex: bool) -> str:
     Each variable's power strings, each reduced denominator's digits and the
     text of each exponent prefix ``exp[:-1]`` are written once per call.
     """
-    if len(names) != p.nvars:
-        raise ValueError("one name per variable required")
+    check_length(names, p.nvars, "names")
+    if len(set(names)) < p.nvars:
+        raise ValueError("variable names must be distinct")
     if not p.nums:
         return "0"
     if latex:

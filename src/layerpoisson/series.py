@@ -39,7 +39,8 @@ from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .polyring import Exponent, Poly, _lowest, as_scalar, check_data, check_integer, reduced, second_partials
+from .polyring import (Exponent, Poly, _lowest, as_scalar, check_data, check_index, check_integer,
+                       check_length, reduced, second_partials)
 
 Width = Optional[Fraction]  # None = keep a symbolic
 Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
@@ -61,13 +62,8 @@ def normalize_index(k, n: int) -> tuple[int, ...]:
     Its entries are ints; bool and other types are refused, as ``as_scalar``
     refuses them for scalars.
     """
-    if isinstance(k, int):
-        if n != 1:
-            raise ValueError("integer exponent only valid for n = 1")
-        k = (k,)
-    k = tuple(k)
-    if len(k) != n:
-        raise ValueError(f"multi-index length {len(k)} does not match n={n}")
+    k = (k,) if isinstance(k, int) else tuple(k)
+    check_length(k, n, "multi-index")
     for e in k:
         check_integer(e, "multi-index entries must be integers")
     if any(e < 0 for e in k):
@@ -78,7 +74,7 @@ def normalize_index(k, n: int) -> tuple[int, ...]:
 def boundary_data(g, n: int) -> Poly:
     """Boundary data as a Poly in x1..xn, y: x^k for a multi-index k, or g itself."""
     if not isinstance(g, Poly):
-        return reduced(n + 1, 1, {normalize_index(g, n) + (0,): 1})
+        g = reduced(n + 1, 1, {normalize_index(g, n) + (0,): 1})
     check_data(g, n, "boundary data")
     if g.degree_in(n) > 0:
         raise ValueError("boundary data must not involve y")
@@ -177,9 +173,7 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
             return found
 
     def get(j: int, a: Width) -> Poly:
-        check_integer(j, "order must be an integer")
-        if j < 0:
-            raise ValueError("order must be non-negative")
+        check_index(j, "order")
         return members(j, a)[j] if a is not None else symbolic(members(j, _UNIT)[j], j)
 
     def cache_info() -> _CacheInfo:
