@@ -7,8 +7,8 @@ finite series in the spatial Laplacian
 
 applied to the whole of P at once by ``series.apply_dx_series``.  On a
 monomial x^k y^m this is the paper's y-integrated formula, and the result
-has total degree deg(P) + 2.  Within each call the images I_j y^m =
--I_y I_{j-1} y^m are grown in order of j; nothing is cached between calls.
+has total degree deg(P) + 2.  Each image I_j y^m = -I_y I_{j-1} y^m is
+made from the denominator of I_{j-1} y^m; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ def inv_laplacian_monomial_alt(k: int, m: int) -> Poly:
 def inv_laplacian(P: Poly, n: int) -> Poly:
     """Particular solution of laplacian(u, n) = P: the I_y series on all of P."""
     check_data(P, n, "right-hand side")
-    dens = {}  # m -> the denominator of the last image of y^m
 
-    def image(j: int, m: int) -> tuple[int, dict]:
-        # (-1)^j I_y^(j+1) y^m = (-1)^j y^e / ((m+1)...e), e = m+2j+2, from the last image:
-        # apply_dx_series asks for each y^m once at j = 0, 1, 2, ... in turn
+    def image(j: int, m: int, last: int) -> tuple[int, dict]:
+        # (-1)^j I_y^(j+1) y^m = (-1)^j y^e / ((m+1)...e), e = m+2j+2, over last = (m+1)...(e-2)
         e = m + 2 * j + 2
-        d = dens[m] = dens.get(m, 1) * (e - 1) * e
-        return d, {(e,): -1 if j & 1 else 1}
+        return last * (e - 1) * e, {(e,): -1 if j & 1 else 1}
 
     return apply_dx_series(P, n, lambda J: image, n + 1)

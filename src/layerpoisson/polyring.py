@@ -98,10 +98,12 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, value: Scalar) -> "Poly":
+        check_index(nvars, "nvars")  # before (0,) * nvars refuses a float in Python's words
         return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
+        check_index(nvars, "nvars")
         check_index(index, "variable index", nvars)
         return Poly(nvars, {(0,) * index + (1,) + (0,) * (nvars - index - 1): 1})
 

@@ -23,12 +23,12 @@ All of it runs on integers, with no ``Fraction`` arithmetic.  A seed
 goes over p^-lo q^hi; a step puts its integrated terms over one lcm and
 sums the top value or slope at a = p/q over q^hi, as
 ``solver._residual_parts`` does.  ``apply_dx_series`` makes every power
-Δ_x^j g, j = 0..J, first, then asks its image source once, with J, for
-images as (den, nums) pairs; a family answers with one store lookup.  It
-takes the integer content of each power out before any product and
-cancels it against each image's denominator once per image, as the
+Δ_x^j g, j = 0..J, first, with its integer content out, then asks its
+image source once, with J, for ``image(j, m, last)``: T_j y^m as (den,
+nums), given the den of T_(j-1) y^m; a family answers from one lookup.
+Per y power it carries content over den in lowest terms, as the
 factorials of Δ_x^j x^k and of the family cancel in the paper's binomial
-sums; its result is then reduced by a small common factor, not a large one.
+sums, so its result is reduced by a small common factor.
 """
 
 from __future__ import annotations
@@ -221,38 +221,39 @@ def apply_dx_series(g: Poly, n: int, images: Callable[[int], Callable], nvars: i
     """The series Σ_j T_j Δ_x^j g, a Poly in ``nvars`` variables.
 
     ``g`` lives in the ring x1..xn, y.  Every power Δ_x^j g, j = 0..J, is
-    made first; then ``images(J)``, called once, gives ``image(j, m)``: T_j
-    y^m as a pair (den, nums) that is only read.  For each y^m it is asked
-    for j = 0, 1, 2, ... in turn, since Δ_x keeps y exponents and a y^m part
-    it kills stays dead; ``particular.inv_laplacian`` grows its images in
-    that order.  Each output key is the x exponent of a term of Δ_x^j g
-    followed by an exponent of that image.  Δ_x^j g is k_j h_j / g.den with
-    h_j primitive; the content k_j is cancelled against each image's
-    denominator once per image, and the images, each scaled by what is left
-    of k_j, are put over the lcm L of their reduced denominators.  So the
-    sum is accumulated in integers over g.den*L, and ``reduced`` finds only
-    a small gcd.
+    made first; then ``images(J)``, called once, gives ``image(j, m, last)``:
+    T_j y^m as a pair (den, nums) that is only read, given the den of
+    T_(j-1) y^m as ``last`` (1 at j = 0).  Each output key is the x exponent
+    of a term of Δ_x^j g followed by an exponent of that image.  Δ_x^j g is
+    c_0...c_j h_j / g.den, with h_j primitive and c_j the content step j
+    takes out.  Δ_x keeps y exponents, so each y^m is asked for at j = 0, 1,
+    2, ... until it dies, and its ratio f/d = c_0...c_j / den is carried in
+    lowest terms from one j to the next; the images, each scaled by its f,
+    are put over the lcm L of the d.  So the sum is accumulated in integers
+    over g.den*L, and ``reduced`` finds only a small gcd.
     """
-    powers = []  # (h_j, k_j), then (h_j, {m: (nums of T_j y^m, den / r, k_j / r)}), r = gcd(k_j, den)
-    h, k = g.nums, 1
+    powers = []  # (h_j, c_j), then (h_j, {m: (nums of T_j y^m, d, f)})
+    h = g.nums
     while h:
         c = math.gcd(*h.values())
         if c != 1:
-            h, k = {exp: v // c for exp, v in h.items()}, k * c
-        powers.append((h, k))
+            h = {exp: v // c for exp, v in h.items()}
+        powers.append((h, c))
         h = second_partials(h, n)
     image = images(len(powers) - 1)
-    dens = set()  # the reduced image denominators, whose lcm is L
-    for j, (h, k) in enumerate(powers):
+    ratios = {}  # m -> (f, d, den) at the last j; den / last is small for the particular images
+    for j, (h, c) in enumerate(powers):
         used = {}
         for m in {e[n] for e in h}:
-            den, nums = image(j, m)
-            r = math.gcd(k, den)
-            d = den // r
-            used[m] = nums, d, k // r
-            dens.add(d)
+            f, d, last = ratios.get(m, (1, 1, 1))
+            den, nums = image(j, m, last)
+            r = math.gcd(last, den)
+            f, d = f * c * (last // r), d * (den // r)
+            r = math.gcd(f, d)
+            f, d = f // r, d // r
+            ratios[m], used[m] = (f, d, den), (nums, d, f)
         powers[j] = h, used
-    L = math.lcm(*dens)
+    L = math.lcm(*{d for _, used in powers for _, d, _ in used.values()})
     out: dict[Exponent, int] = {}
     for h, used in powers:
         scaled = {}
@@ -276,6 +277,6 @@ def correction(family: Family, g: Poly, n: int, a: Width) -> Poly:
     def images(J: int):
         members = family.members(J, a)
         # g is free of y, so the image of y^m is only asked for m = 0
-        return lambda j, m: (members[j].den, members[j].nums)
+        return lambda j, m, last: (members[j].den, members[j].nums)
 
     return apply_dx_series(g, n, images, n + 1 + (a is None))

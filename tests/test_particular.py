@@ -1,6 +1,10 @@
+import contextlib
 import math
 import random
+import signal
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -141,3 +145,60 @@ def test_high_power_of_x_has_its_closed_form_quickly():
                         for j in range(n_x // 2 + 1)})
     assert u == expected
     assert elapsed < 1.0
+
+
+@contextlib.contextmanager
+def cut_after(seconds):
+    """Fail a call that runs past ``seconds`` from inside it, rather than wait for its end."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    if not hasattr(signal, "setitimer"):  # no interval timer here, so the call runs to its end
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def x_power_solution(n_x):
+    """u for x^N: Σ_j (-1)^j C(N+2, 2j+2) x^(N-2j) y^(2j+2) / ((N+1)(N+2)), in integers."""
+    nums, binom = {}, (n_x + 2) * (n_x + 1) // 2  # C(N+2, 2j+2), stepped from j - 1 to j
+    for j in range(n_x // 2 + 1):
+        nums[n_x - 2 * j, 2 * j + 2] = -binom if j & 1 else binom
+        binom = binom * (n_x - 2 * j) * (n_x - 2 * j - 1) // ((2 * j + 3) * (2 * j + 4))
+    return reduced(2, (n_x + 1) * (n_x + 2), nums)
+
+
+def test_a_long_series_carries_small_ratios():
+    # Δ_x^j x^8000 has a content c_0...c_j of about 26j bits, and the image of
+    # y^0 a denominator (2j+2)! as long; the series carries only their reduced
+    # ratio, whose denominator divides 8001*8002, from one j to the next, so
+    # no step takes a gcd of two long products
+    p = Poly.monomial(2, (8000, 0))
+    with cut_after(5.0):
+        start = time.perf_counter()
+        u = inv_laplacian(p, 1)
+        elapsed = time.perf_counter() - start
+    assert u == x_power_solution(8000)
+    assert elapsed < 1.0
+
+
+def test_a_long_series_holds_a_few_times_its_output():
+    # the powers keep their step contents c_j, not the running products, so
+    # the peak is a small multiple of the output's own integers, which grow
+    # like N^2 bits in all
+    p = Poly.monomial(2, (8000, 0))
+    tracemalloc.start()
+    try:
+        with cut_after(10.0):
+            u = inv_laplacian(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(map(sys.getsizeof, u.nums.values())) + sys.getsizeof(u.den)
+    assert peak <= 5 * output

@@ -199,6 +199,18 @@ def test_poly_refuses_nvars_that_is_not_an_int(nvars):
         Poly.from_json_dict({"nvars": nvars, "terms": [{"exp": [1] * int(nvars), "coeff": "3"}]})
 
 
+@pytest.mark.parametrize("nvars", [True, 2.0], ids=repr)
+def test_the_constructors_check_nvars_before_they_build_an_exponent(nvars):
+    # (0,) * 2.0 would refuse it first, in Python's words rather than the rule's
+    message = f"^nvars must be an integer, not {type(nvars).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        Poly.variable(nvars, 0)
+    with pytest.raises(TypeError, match=message):
+        Poly.const(nvars, 3)
+    with pytest.raises(ValueError, match="^nvars must be non-negative, not -1$"):
+        Poly.variable(-1, 0)
+
+
 def test_poly_refuses_negative_nvars_and_exponents_of_the_wrong_length():
     with pytest.raises(ValueError, match="^nvars must be non-negative, not -1$"):
         Poly(-1)
