@@ -12,9 +12,9 @@ use them, so the module itself imports without them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import dirichlet
+from .polyring import _Record
 
 
 def poisson_kernel_1d(x: float, y: float, a: float) -> float:
@@ -118,12 +118,13 @@ def kernel_recurrence_residual(r: float, y: float, a: float, h: float = 1e-5) ->
     return abs(poisson_kernel_3d(r, y, a) + dP1 / (2.0 * math.pi * r))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    reference: float
-    tolerance: float
+class CheckResult(_Record):
+    """One numeric check: a value, its reference and the tolerance on their distance."""
+
+    _fields = ("name", "value", "reference", "tolerance")
+
+    def __init__(self, name: str, value: float, reference: float, tolerance: float):
+        super().__init__(name, value, reference, tolerance)
 
     @property
     def error(self) -> float:
@@ -168,28 +169,16 @@ def run_all_checks() -> list[CheckResult]:
             CheckResult(f"normalization y={y:.1f}", moment_integral(0, y, a, "plus"), y / a, 1e-8)
         )
 
-    # trigonometric series, m=2, a=pi instances
-    y = 1.0
-    alt_closed = y * (3 * y ** 4 - 10 * math.pi ** 2 * y ** 2 + 7 * math.pi ** 4) / 720.0
-    results.append(
-        CheckResult(
-            "series alternating m=2",
-            trig_series_sum(2, y, math.pi, True, 10_000),
-            alt_closed,
-            1e-10,
+    # trigonometric series, m=2, a=pi instances, against the exact moment polynomial
+    for alternating, label, tol in ((True, "alternating", 1e-10), (False, "non-alternating", 1e-9)):
+        results.append(
+            CheckResult(
+                f"series {label} m=2",
+                trig_series_sum(2, 1.0, math.pi, alternating, 10_000),
+                trig_series_closed_form(2, 1.0, math.pi, alternating),
+                tol,
+            )
         )
-    )
-    plain_closed = (
-        y * (math.pi - y) * (3 * y ** 3 - 12 * math.pi * y ** 2 + 8 * math.pi ** 2 * y + 8 * math.pi ** 3) / 720.0
-    )
-    results.append(
-        CheckResult(
-            "series non-alternating m=2",
-            trig_series_sum(2, y, math.pi, False, 10_000),
-            plain_closed,
-            1e-9,
-        )
-    )
 
     # convolution against the exact Dirichlet basis, 10 points
     for _ in range(10):

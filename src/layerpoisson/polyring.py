@@ -538,7 +538,8 @@ def check_integer(value, message: str) -> None:
 
 def check_index(value, what: str, size: int | None = None) -> None:
     """Refuse a shape argument unless it is an int, not bool, at least 0 and below ``size`` if given."""
-    check_integer(value, f"{what} must be an integer")
+    if value.__class__ is not int:  # the message is only formatted for a value that may be refused
+        check_integer(value, f"{what} must be an integer")
     if value < 0 or size is not None and value >= size:
         bound = "non-negative" if size is None else f"in range({size})"
         raise ValueError(f"{what} must be {bound}, not {value}")

@@ -19,9 +19,9 @@ y; at the symbolic width (None) it is a polynomial in (y, a), with
 negative powers of a where the degree is below that of y, read off the
 member at a = 1.
 
-All of it runs on integers, with no ``Fraction`` arithmetic.  A seed
-goes over p^-lo q^hi; a step puts its integrated terms over one lcm and
-sums the top value or slope at a = p/q over q^hi, as
+All of it runs on integers, with no ``Fraction`` arithmetic.  s_0 is
+substituted at a = p/q with ``Poly.subs``; a step puts its integrated
+terms over one lcm and sums the top value or slope at a = p/q over q^hi, as
 ``solver._residual_parts`` does.  ``apply_dx_series`` makes every power
 Δ_x^j g, j = 0..J, first, with its integer content out, then asks its
 image source once, with J, for ``image(j, m, last)``: T_j y^m as (den,
@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .polyring import (Exponent, Poly, _lowest, as_scalar, check_data, check_index, check_integer,
-                       check_length, reduced, second_partials)
+                       check_length, lift, reduced, second_partials)
 
 Width = Optional[Fraction]  # None = keep a symbolic
 Family = Callable[[int, Width], Poly]  # (j, width) -> s_j(y)
@@ -79,15 +79,6 @@ def boundary_data(g, n: int) -> Poly:
     if g.degree_in(n) > 0:
         raise ValueError("boundary data must not involve y")
     return g
-
-
-def seed(p: int, q: int, terms: dict[tuple[int, int], int]) -> Poly:
-    """Σ c y^l a^k over ``terms`` {(l, k): c}, at width a = p/q: a Poly in y."""
-    # c (p/q)^k = c p^(k-lo) q^(hi-k) / (p^-lo q^hi), for lo <= 0 <= hi bounding every k
-    ks = [k for _, k in terms]
-    lo, hi = min(0, *ks), max(0, *ks)
-    return reduced(1, p ** -lo * q ** hi,
-                   {(l,): c * p ** (k - lo) * q ** (hi - k) for (l, k), c in terms.items()})
 
 
 def member(prev: Poly, p: int, q: int, slope: bool) -> Poly:
@@ -141,6 +132,7 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
     """
     lists: OrderedDict[tuple[int, int], list[Poly]] = OrderedDict()  # least recently used first
     degree = sum(next(iter(first)))
+    first = reduced(2, 1, dict(first))  # s_0 in (y, a)
     hits = misses = held = 0
     lock = threading.Lock()  # one thread at a time reads, grows or evicts
 
@@ -162,7 +154,7 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
                     return found
             misses += 1
             if found is None:
-                found = lists[key] = [seed(*key, first)]
+                found = lists[key] = [lift(first.subs(1, a), 1, (0, None))]
                 held += 1
             p, q = key
             while len(found) <= J:

@@ -200,8 +200,7 @@ def rectangle_trace(u: Poly, x_edges: tuple[Fraction, Fraction]) -> tuple[Poly, 
     a rectangle fixes the values on the two vertical sides; this returns
     them as polynomials in y.
     """
-    ring = Ring(1)
-    if u.nvars != ring.nvars:
+    if u.nvars != 2:
         raise ValueError("rectangle traces are defined for n = 1 only")
     b0, b1 = (as_scalar(b) for b in x_edges)
     return (

@@ -507,3 +507,22 @@ def test_profiler_still_reports_after_the_module_returns(monkeypatch):
                         env=env, capture_output=True, text=True, timeout=60)
     assert "verified: true" in cp.stdout
     assert "function calls" in cp.stdout
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_numcheck_reports_each_check_and_the_count(failing, monkeypatch, capsys):
+    # the battery itself needs numpy and scipy; its report needs neither
+    from layerpoisson import numcheck
+
+    results = [numcheck.CheckResult("moment[m=0]", 1.0, 1.0, 1e-8),
+               numcheck.CheckResult("series alternating m=2", 0.5, 0.25 if failing else 0.5, 1e-10)]
+    monkeypatch.setattr(numcheck, "run_all_checks", lambda: results)
+    assert main(["numcheck"]) == (1 if failing else 0)
+    verdict, passed = ("FAIL", "1/2") if failing else ("pass", "2/2")
+    assert capsys.readouterr().out.splitlines() == [
+        "pass  moment[m=0]                                error=0.000e+00 tol=1.0e-08",
+        f"{verdict}  series alternating m=2                     error={0.25 if failing else 0:.3e} tol=1.0e-10",
+        f"{passed} checks passed",
+    ]
+    assert main(["numcheck", "--output", "json"]) == (1 if failing else 0)
+    assert json.loads(capsys.readouterr().out) == [r.to_json_dict() for r in results]

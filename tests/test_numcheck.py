@@ -128,3 +128,11 @@ def test_run_all_checks_pass():
     results = numcheck.run_all_checks()
     failures = [r for r in results if not r.passed]
     assert not failures, [f.name for f in failures]
+
+
+def test_quad_refuses_a_large_error_estimate(monkeypatch):
+    import scipy.integrate
+
+    monkeypatch.setattr(scipy.integrate, "quad", lambda f, lo, hi, **kwargs: (1.0, 1e-3))
+    with pytest.raises(numcheck.QuadratureError, match="too large"):
+        numcheck._quad(math.sin, 0.0, 1.0)

@@ -181,3 +181,15 @@ def test_dimension_past_the_bound_is_refused_before_any_name_is_built(n, monkeyp
     monkeypatch.setattr(parsing, "_ring_slots", refused)
     with pytest.raises(ValueError, match=f"^spatial dimension must be at most {MAX_DIMENSION}$"):
         parse_poly("x1 + y", n)
+
+
+def test_zero_denominator_is_refused_at_its_position():
+    with pytest.raises(PolyParseError, match=r"^zero denominator \(at position 2\)$") as exc:
+        parse_poly("1/0", 1)
+    assert exc.value.position == 2
+
+
+def test_unexpected_character_is_refused_at_its_position():
+    with pytest.raises(PolyParseError, match=r"^unexpected character '\$' \(at position 2\)$") as exc:
+        parse_poly("x $ 1", 1)
+    assert exc.value.position == 2

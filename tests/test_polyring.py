@@ -466,3 +466,12 @@ def test_negation_and_a_lone_summand_take_no_gcd():
         assert time.perf_counter() - start < 0.05
         assert q.den == p.den and q.nums.keys() == p.nums.keys()
     assert (-p).nums == {(5,): -(2 ** 560000 + 1)}
+
+
+def test_truth_value_is_nonzero():
+    assert not Poly(2)
+    assert Poly.variable(2, 0)
+
+
+def test_total_degree_of_zero_is_zero():
+    assert Poly(2).total_degree() == 0

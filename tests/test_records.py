@@ -1,4 +1,4 @@
-"""Value semantics of the package's immutable records: Ring, LayerProblem, SolutionReport.
+"""Value semantics of the package's immutable records: Ring, LayerProblem, SolutionReport, CheckResult.
 
 Each is compared, hashed and printed field by field, refuses assignment
 and deletion, and (for LayerProblem) validates its data on construction.
@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from layerpoisson import LayerProblem, Poly, Ring, SolutionReport, solve
+from layerpoisson.numcheck import CheckResult
 from layerpoisson.parsing import parse_poly
 from layerpoisson.particular import inv_laplacian_monomial
 from layerpoisson.polyring import MAX_DIMENSION
@@ -197,3 +198,12 @@ def test_the_monomial_image_checks_the_dimension_as_parse_poly_does(n):
     for build in (lambda: parse_poly("y", n), lambda: inv_laplacian_monomial(0, 0, n)):
         with pytest.raises(ValueError, match=f"^spatial dimension must be {message}$"):
             build()
+
+
+def test_check_result_json_dict():
+    result = CheckResult("moment", 1.5, 1.25, 0.5)
+    assert result.to_json_dict() == {"name": "moment", "value": 1.5, "reference": 1.25,
+                                     "error": 0.25, "tolerance": 0.5, "passed": True}
+    assert not CheckResult("moment", 1.5, 1.0, 0.25).passed
+    assert result == CheckResult("moment", 1.5, 1.25, 0.5) != CheckResult("moment", 1.5, 1.25, 1.0)
+    assert repr(result) == "CheckResult(name='moment', value=1.5, reference=1.25, tolerance=0.5)"
