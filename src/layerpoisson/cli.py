@@ -125,40 +125,32 @@ def _problem_from_args(args) -> LayerProblem:
         raise UsageError(str(exc)) from None
 
 
-def _report_json(report: SolutionReport) -> str:
-    """``json.dumps(report.to_json_dict(), indent=2)``, byte for byte."""
-    fields = (("solution", report.u), ("residual_pde", report.residual_pde),
-              ("residual_lower", report.residual_lower), ("residual_upper", report.residual_upper))
-    polys = "".join(f'\n  "{key}": {_json_text(p, 1)},' for key, p in fields)
-    return f'{{{polys}\n  "verified": {str(report.verified).lower()}\n}}'
-
-
-def _print_report(report: SolutionReport, n: int, fmt: str) -> None:
-    names = Ring(n).names
+def _print_report(report: SolutionReport, n: int, fmt: str) -> int:
+    parts = (("solution", report.u), ("residual_pde", report.residual_pde),
+             ("residual_lower", report.residual_lower), ("residual_upper", report.residual_upper))
+    verified = str(report.verified).lower()
     if fmt == "json":
-        print(_report_json(report))
-        return
-    render = to_latex if fmt == "latex" else to_text
-    print(f"solution: {render(report.u, names)}")
-    print(f"residual_pde: {render(report.residual_pde, names)}")
-    print(f"residual_lower: {render(report.residual_lower, names)}")
-    print(f"residual_upper: {render(report.residual_upper, names)}")
-    print(f"verified: {str(report.verified).lower()}")
+        # json.dumps(report.to_json_dict(), indent=2), byte for byte
+        polys = "".join(f'\n  "{key}": {_json_text(p, 1)},' for key, p in parts)
+        print(f'{{{polys}\n  "verified": {verified}\n}}')
+    else:
+        names = Ring(n).names
+        render = to_latex if fmt == "latex" else to_text
+        for key, p in parts:
+            print(f"{key}: {render(p, names)}")
+        print(f"verified: {verified}")
+    return 0 if report.verified else 1
 
 
 def _cmd_solve(args) -> int:
     problem = _problem_from_args(args)
-    report = solve(problem)
-    _print_report(report, problem.n, args.output)
-    return 0 if report.verified else 1
+    return _print_report(solve(problem), problem.n, args.output)
 
 
 def _cmd_verify(args) -> int:
     problem = _problem_from_args(args)
     u = _parse("solution", args.solution, problem.n)
-    report = verify(u, problem)
-    _print_report(report, problem.n, args.output)
-    return 0 if report.verified else 1
+    return _print_report(verify(u, problem), problem.n, args.output)
 
 
 _FAMILIES = {

@@ -29,7 +29,6 @@ lowest terms has more digits than the limit.
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from functools import lru_cache
@@ -148,9 +147,8 @@ class _Parser:
         # 10^limit has more than 3*limit bits, so no shorter number can reach it
         if limit and max(map(int.bit_length, (p.den, *p.nums.values()))) > 3 * limit:
             top = 10 ** limit
-            for c in p.nums.values():
-                g = math.gcd(c, p.den)
-                if abs(c) // g >= top or p.den // g >= top:
+            for _, num, den in p._ordered():
+                if abs(num) >= top or den >= top:
                     raise PolyParseError(f"coefficient has more than {limit} digits", 0)
         return p
 

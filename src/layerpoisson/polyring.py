@@ -314,10 +314,6 @@ class Poly:
         # two stable sorts, by exponent and then by degree, give the order of
         # the key (sum(exp), exp) without a Python-level key function
         order = sorted(sorted(nums, reverse=True), key=sum, reverse=True)
-        if den == 1:
-            for exp in order:
-                yield exp, nums[exp], 1
-            return
         gcd = math.gcd
         for exp in order:
             num = nums[exp]

@@ -121,19 +121,19 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
     family keeps one list [s_0, s_1, ...] per width p/q, grown in order by
     ``member``.  A lookup, ``members(J, a)``, returns that list, grown to s_J
     first, for the caller to read: a series reads s_0 .. s_J in one lookup,
-    and a cold s_J takes J steps.  ``get(j, a)`` is s_j, through a lookup.
-    A lookup is a hit when s_J is already stored.  The widths are kept in an
-    ``OrderedDict`` in recency order; when more than ``_MAX_MEMBERS``
-    members are held, the least recently used widths are dropped whole,
-    never the one in use.  The symbolic width is read from the unit-width
-    list: every member is homogeneous in (y, a), s_j = Σ c_l y^l a^(d-l)
-    with c_l its y^l coefficient at a = 1 and d = 2j + deg s_0.  A lookup
-    holds the family's lock, so threads can share it.
+    and a cold s_J takes J steps.  ``get(j, a)`` is s_j, read from that
+    list.  A lookup is a hit when s_J is already stored.  The widths are
+    kept in an ``OrderedDict`` in recency order; when the lists hold more
+    than ``_MAX_MEMBERS`` members in all, the least recently used widths
+    are dropped whole, never the one in use.  The symbolic width is read
+    from the unit-width list: every member is homogeneous in (y, a), s_j =
+    Σ c_l y^l a^(d-l) with c_l its y^l coefficient at a = 1 and d = 2j +
+    deg s_0.  A lookup holds the family's lock, so threads can share it.
     """
     lists: OrderedDict[tuple[int, int], list[Poly]] = OrderedDict()  # least recently used first
     degree = sum(next(iter(first)))
     first = reduced(2, 1, dict(first))  # s_0 in (y, a)
-    hits = misses = held = 0
+    hits = misses = 0
     lock = threading.Lock()  # one thread at a time reads, grows or evicts
 
     def symbolic(s: Poly, j: int) -> Poly:
@@ -141,7 +141,7 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
         return _lowest(2, s.den, {(l, d - l): c for (l,), c in s.nums.items()})
 
     def members(J: int, a: Width) -> list[Poly]:
-        nonlocal hits, misses, held
+        nonlocal hits, misses
         if a is None:
             return list(map(symbolic, members(J, _UNIT)[:J + 1], range(J + 1)))
         key = a.numerator, a.denominator
@@ -155,27 +155,27 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
             misses += 1
             if found is None:
                 found = lists[key] = [lift(first.subs(1, a), 1, (0, None))]
-                held += 1
             p, q = key
             while len(found) <= J:
                 found.append(member(found[-1], p, q, slope))
-                held += 1
-            while held > _MAX_MEMBERS and len(lists) > 1:
-                held -= len(lists.popitem(last=False)[1])
+            total = sum(map(len, lists.values()))
+            while total > _MAX_MEMBERS and len(lists) > 1:
+                total -= len(lists.popitem(last=False)[1])
             return found
 
     def get(j: int, a: Width) -> Poly:
         check_index(j, "order")
-        return members(j, a)[j] if a is not None else symbolic(members(j, _UNIT)[j], j)
+        return members(j, a)[j]
 
     def cache_info() -> _CacheInfo:
-        return _CacheInfo(hits, misses, _MAX_MEMBERS, held)
+        with lock:
+            return _CacheInfo(hits, misses, _MAX_MEMBERS, sum(map(len, lists.values())))
 
     def cache_clear() -> None:
-        nonlocal hits, misses, held
+        nonlocal hits, misses
         with lock:
             lists.clear()
-            hits = misses = held = 0
+            hits = misses = 0
 
     get.__module__, get.__name__, get.__qualname__ = module, name, name
     get.members, get.cache_info, get.cache_clear = members, cache_info, cache_clear

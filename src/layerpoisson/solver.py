@@ -97,12 +97,11 @@ def solve(problem: LayerProblem) -> SolutionReport:
     """Unique polynomial solution of the layer problem, with certification."""
     n, a = problem.n, problem.a
     tilde = inv_laplacian(problem.rhs, n)
-    lower_corr = problem.lower
-    upper_corr = problem.upper - _traces(tilde, problem)
+    top = problem.upper - _traces(tilde, problem)
     if problem.kind == "dirichlet":
-        lower, upper = dirichlet.basis_v(lower_corr, n, a), dirichlet.basis_u(upper_corr, n, a)
+        lower, upper = dirichlet.basis_v(problem.lower, n, a), dirichlet.basis_u(top, n, a)
     else:
-        lower, upper = mixed.mixed_basis_u(lower_corr, n, a), mixed.mixed_basis_v(upper_corr, n, a)
+        lower, upper = mixed.mixed_basis_u(problem.lower, n, a), mixed.mixed_basis_v(top, n, a)
     u = poly_sum(tilde.nvars, (tilde, lower, upper))
 
     report = verify(u, problem)

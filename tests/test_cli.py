@@ -526,3 +526,44 @@ def test_numcheck_reports_each_check_and_the_count(failing, monkeypatch, capsys)
     ]
     assert main(["numcheck", "--output", "json"]) == (1 if failing else 0)
     assert json.loads(capsys.readouterr().out) == [r.to_json_dict() for r in results]
+
+
+@pytest.mark.parametrize("missing, code, first", [
+    ("numpy", 2, "error: numcheck needs numpy and scipy"),
+    ("scipy.integrate", 2, "error: numcheck needs numpy and scipy"),
+    ("yaml", 3, "internal error: ModuleNotFoundError: No module named 'yaml'"),
+])
+def test_numcheck_takes_only_a_missing_numeric_module_for_an_input_error(missing, code, first,
+                                                                        monkeypatch, capsys):
+    # the same fault as test_numcheck_without_numpy_is_one_error_line, raised in this process
+    from layerpoisson import numcheck
+
+    def run_all_checks():
+        raise ModuleNotFoundError(f"No module named {missing!r}", name=missing)
+
+    monkeypatch.setattr(numcheck, "run_all_checks", run_all_checks)
+    assert main(["numcheck"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first)
+
+
+def test_an_uncertified_answer_of_solve_is_an_internal_error(monkeypatch, capsys):
+    from layerpoisson import solver
+
+    real = solver.verify
+
+    def off_by_one(u, problem):
+        report = real(u, problem)
+        return solver.SolutionReport(report.u, report.residual_pde + 1, report.residual_lower,
+                                     report.residual_upper)
+
+    monkeypatch.setattr(solver, "verify", off_by_one)
+    with pytest.raises(AssertionError, match=r"^internal consistency failure"):
+        _library_report(EXAMPLE_1_ARGS)
+    assert main(EXAMPLE_1_ARGS) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: AssertionError: internal consistency failure:"
+                            " nonzero residual from solve()\n")

@@ -475,3 +475,9 @@ def test_truth_value_is_nonzero():
 
 def test_total_degree_of_zero_is_zero():
     assert Poly(2).total_degree() == 0
+
+
+def test_eval_float_divides_numbers_past_the_float_range():
+    # num / den rounds once, as float(Fraction) does; float(num) alone would overflow
+    p = Poly(2, {(1, 0): Fraction(3 * 10 ** 400 + 1, 10 ** 400)})
+    assert p.eval_float((2.0, 5.0)) == 6.0
