@@ -126,17 +126,15 @@ def _problem_from_args(args) -> LayerProblem:
 
 
 def _print_report(report: SolutionReport, n: int, fmt: str) -> int:
-    parts = (("solution", report.u), ("residual_pde", report.residual_pde),
-             ("residual_lower", report.residual_lower), ("residual_upper", report.residual_upper))
     verified = str(report.verified).lower()
     if fmt == "json":
         # json.dumps(report.to_json_dict(), indent=2), byte for byte
-        polys = "".join(f'\n  "{key}": {_json_text(p, 1)},' for key, p in parts)
+        polys = "".join(f'\n  "{key}": {_json_text(p, 1)},' for key, p in report.parts)
         print(f'{{{polys}\n  "verified": {verified}\n}}')
     else:
         names = Ring(n).names
         render = to_latex if fmt == "latex" else to_text
-        for key, p in parts:
+        for key, p in report.parts:
             print(f"{key}: {render(p, names)}")
         print(f"verified: {verified}")
     return 0 if report.verified else 1

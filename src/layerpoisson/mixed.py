@@ -21,8 +21,6 @@ multi-index k for the data x^k, or the whole boundary polynomial.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
 
 from .dirichlet import AMode, multiindex_factor
 from .polyring import Poly
@@ -45,9 +43,8 @@ def q_poly(m: int, a: AMode = None) -> Poly:
     return _e(m, width(a)) * math.factorial(2 * m)
 
 
-def mixed_multiindex_factor(m: Sequence[int]) -> Fraction:
-    """Multi-index scaling factor; identical to the Dirichlet-family factor."""
-    return multiindex_factor(m)
+# the mixed families scale by the same multi-index factor as the Dirichlet ones
+mixed_multiindex_factor = multiindex_factor
 
 
 def mixed_basis_u(k, n: int, a: AMode = None) -> Poly:

@@ -122,13 +122,14 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
     ``member``.  A lookup, ``members(J, a)``, returns that list, grown to s_J
     first, for the caller to read: a series reads s_0 .. s_J in one lookup,
     and a cold s_J takes J steps.  ``get(j, a)`` is s_j, read from that
-    list.  A lookup is a hit when s_J is already stored.  The widths are
-    kept in an ``OrderedDict`` in recency order; when the lists hold more
-    than ``_MAX_MEMBERS`` members in all, the least recently used widths
-    are dropped whole, never the one in use.  The symbolic width is read
-    from the unit-width list: every member is homogeneous in (y, a), s_j =
-    Σ c_l y^l a^(d-l) with c_l its y^l coefficient at a = 1 and d = 2j +
-    deg s_0.  A lookup holds the family's lock, so threads can share it.
+    list; at the symbolic width it converts s_j alone.  A lookup is a hit
+    when s_J is already stored.  The widths are kept in an ``OrderedDict``
+    in recency order; when the lists hold more than ``_MAX_MEMBERS``
+    members in all, the least recently used widths are dropped whole,
+    never the one in use.  The symbolic width is read from the unit-width
+    list: every member is homogeneous in (y, a), s_j = Σ c_l y^l a^(d-l)
+    with c_l its y^l coefficient at a = 1 and d = 2j + deg s_0.  A lookup
+    holds the family's lock, so threads can share it.
     """
     lists: OrderedDict[tuple[int, int], list[Poly]] = OrderedDict()  # least recently used first
     degree = sum(next(iter(first)))
@@ -165,7 +166,8 @@ def family(module: str, name: str, first: dict[tuple[int, int], int], slope: boo
 
     def get(j: int, a: Width) -> Poly:
         check_index(j, "order")
-        return members(j, a)[j]
+        s = members(j, _UNIT if a is None else a)[j]
+        return symbolic(s, j) if a is None else s
 
     def cache_info() -> _CacheInfo:
         with lock:
@@ -204,9 +206,8 @@ def quotient(name: str, j: int) -> tuple[int, int]:
         return 0, 1
     family, i, sign = quotients[name]
     s = family(i, _UNIT)
-    num = sign * s.nums.get((1,), 0)
-    g = math.gcd(num, s.den)
-    return num // g, s.den // g
+    r = Fraction(sign * s.nums.get((1,), 0), s.den)
+    return r.numerator, r.denominator
 
 
 def apply_dx_series(g: Poly, n: int, images: Callable[[int], Callable], nvars: int) -> Poly:

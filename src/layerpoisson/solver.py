@@ -72,14 +72,13 @@ class SolutionReport(_Record):
             and self.residual_upper.is_zero()
         )
 
+    @property
+    def parts(self) -> tuple[tuple[str, Poly], ...]:
+        """The report's (key, polynomial) pairs: the solution, then the residuals in field order."""
+        return tuple(zip(("solution", *self._fields[1:]), self._values()))
+
     def to_json_dict(self) -> dict:
-        return {
-            "solution": self.u.to_json_dict(),
-            "residual_pde": self.residual_pde.to_json_dict(),
-            "residual_lower": self.residual_lower.to_json_dict(),
-            "residual_upper": self.residual_upper.to_json_dict(),
-            "verified": self.verified,
-        }
+        return {key: p.to_json_dict() for key, p in self.parts} | {"verified": self.verified}
 
 
 def _traces(p: Poly, problem: LayerProblem) -> Poly:

@@ -87,6 +87,29 @@ def test_solution_report_equality_hash_and_repr():
     )
 
 
+@pytest.mark.parametrize("problem", [_problem(), _problem(kind="mixed")], ids=["dirichlet", "mixed"])
+@pytest.mark.parametrize("verified", [True, False], ids=["verified", "failing"])
+def test_solution_report_parts_name_the_solution_then_the_residuals_in_field_order(problem, verified):
+    report = solve(problem)
+    if not verified:
+        report = SolutionReport(report.u, report.residual_pde, P("-1"), P("x1"))
+    assert report.verified is verified
+    assert report.parts == (("solution", report.u), ("residual_pde", report.residual_pde),
+                            ("residual_lower", report.residual_lower),
+                            ("residual_upper", report.residual_upper))
+
+
+@pytest.mark.parametrize("verified", [True, False], ids=["verified", "failing"])
+def test_solution_report_json_keys_are_its_parts_then_verified(verified):
+    report = solve(_problem())
+    if not verified:
+        report = SolutionReport(report.u, P("x1"), report.residual_lower, report.residual_upper)
+    doc = report.to_json_dict()
+    assert list(doc) == ["solution", "residual_pde", "residual_lower", "residual_upper", "verified"]
+    assert doc["verified"] is verified
+    assert [doc[key] for key, _ in report.parts] == [p.to_json_dict() for _, p in report.parts]
+
+
 @pytest.mark.parametrize("record, names", [
     (Ring(1), ("n", "formal_a", "names", "other")),
     (_problem(), ("n", "a", "rhs", "kind", "lower", "upper", "other")),

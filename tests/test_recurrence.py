@@ -272,3 +272,28 @@ def test_a_harmonic_datum_grows_only_the_first_member():
             assert u.laplacian(n).is_zero()
         finally:
             _clear_family_caches()
+
+
+def test_a_symbolic_read_converts_only_the_member_it_returns(monkeypatch):
+    # with the unit-width list warm, s_40 at the symbolic width is one conversion,
+    # not 41, and c_0 .. c_40 are 41 conversions, not 861
+    calls = 0
+    lowest = series._lowest
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return lowest(*args)
+
+    _clear_family_caches()
+    try:
+        dirichlet._c.members(40, Fraction(1))
+        monkeypatch.setattr(series, "_lowest", counted)
+        s = dirichlet._c(40, None)
+        assert calls == 1
+        assert s == dirichlet._c.members(40, None)[40]
+        calls = 0
+        dirichlet.c_coeffs(40)
+        assert calls == 41
+    finally:
+        _clear_family_caches()

@@ -2,9 +2,10 @@
 
 Each mutant names a file, a text that occurs in it exactly once, the text
 that replaces it, and the tests that must fail once it is replaced.  The
-script copies ``src/``, ``tests/`` and ``pytest.ini`` into a temporary
-directory, runs the named tests there once on the unchanged copy (they
-must pass), then applies one mutant at a time and runs only its tests.
+script copies ``src/``, ``tests/``, ``tools/``, ``pytest.ini`` and
+``README.md``, which the tests read, into a temporary directory, runs the
+named tests there once on the unchanged copy (they must pass), then
+applies one mutant at a time and runs only its tests.
 A mutant is killed when pytest reports failed tests (exit code 1); it
 survives when they pass.  Anything else (an import error, a test id that
 matches nothing, a timeout) is reported as an error.  The exit code is 0
@@ -24,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pytest.ini")
+COPIED = ("src", "tests", "tools", "pytest.ini", "README.md")
 TIMEOUT = 600  # seconds per pytest run; a mutant that hangs its tests is an error
 
 
